@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .core import (
     FiniteMonoid,
-    atom_transversal,
     cyclic,
     direct_product,
     divisor_closed_submonoid,
@@ -23,7 +22,6 @@ from .core import (
     submonoid,
     trivial,
     two_element_with_zero,
-    units,
 )
 from .factorization import (
     Comparison,
@@ -34,7 +32,6 @@ from .factorization import (
     compare,
     enumerate_factorizations,
     factorial_battery,
-    factorization_class,
     is_minimal,
     is_powerful,
     is_prime,

@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .core import (
@@ -56,22 +55,6 @@ from .presentations import (
 from .words import format_word_text, parse_word_text
 
 
-@dataclass
-class RunConfig:
-    command: str
-    source: str  # canonical description of the input, digested into reports
-    max_len: int = 6
-    budget: int = 20_000
-    seed: int = 0
-    fmt: str = "json"
-    out: str | None = None
-    args: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.max_len < 0 or self.budget <= 0 or self.seed < 0:
-            raise ValueError("bounds must be positive")
-
-
 def _digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
@@ -98,28 +81,24 @@ def _load_monoid(ns) -> tuple[FiniteMonoid, str]:
     raise FactorbenchError("no monoid given: use --in or an instance flag")
 
 
-def _monoid_payload(H: FiniteMonoid, max_len_unused=None) -> dict:
+def _element_payload(H: FiniteMonoid, x: int) -> dict:
+    return {
+        "lengths": length_set(H, x).describe(),
+        "minimal_classes": [
+            {
+                "counts": list(e.counts),
+                "representative": format_atom_word(H, e.representative),
+            }
+            for e in minimal_catalog(H).classes_of(x)
+        ],
+    }
+
+
+def _monoid_payload(H: FiniteMonoid) -> dict:
     rep = property_battery(H)
     flags = classify_arithmetic(H)
     fact = factorial_battery(H)
-    cat = minimal_catalog(H)
-    kappa, union_lengths = kappa_and_dichotomy(H, cat)
-    elements = []
-    for x in H.elements():
-        ls = length_set(H, x)
-        elements.append(
-            {
-                "element": H.names[x],
-                "lengths": ls.describe(),
-                "minimal_classes": [
-                    {
-                        "counts": list(e.counts),
-                        "representative": format_atom_word(H, e.representative),
-                    }
-                    for e in cat.classes_of(x)
-                ],
-            }
-        )
+    kappa, union_lengths = kappa_and_dichotomy(H)
     witness_names = {
         key: [H.names[i] for i in w] for key, w in rep.witnesses.items()
     }
@@ -152,38 +131,28 @@ def _monoid_payload(H: FiniteMonoid, max_len_unused=None) -> dict:
         "units": [H.names[u] for u in sorted(H.units)],
         "kappa": kappa,
         "minimal_length_union": list(union_lengths),
-        "elements": elements,
+        "elements": [{"element": H.names[x], **_element_payload(H, x)} for x in H.elements()],
     }
 
 
-def _cmd_analyze(ns, cfg: RunConfig):
+def _cmd_analyze(ns):
     H, digest = _load_monoid(ns)
     return 0, digest, _monoid_payload(H)
 
 
-def _cmd_factorize(ns, cfg: RunConfig):
+def _cmd_factorize(ns):
     H, digest = _load_monoid(ns)
     x = H.index_of(ns.element)
-    words = enumerate_factorizations(H, x, cfg.max_len)
-    ls = length_set(H, x)
-    cat = minimal_catalog(H)
-    payload = {
+    words = enumerate_factorizations(H, x, ns.max_len)
+    return 0, digest, {
         "element": ns.element,
-        "max_len": cfg.max_len,
+        "max_len": ns.max_len,
         "factorizations": [format_atom_word(H, w) for w in words],
-        "lengths": ls.describe(),
-        "minimal_classes": [
-            {
-                "counts": list(e.counts),
-                "representative": format_atom_word(H, e.representative),
-            }
-            for e in cat.classes_of(x)
-        ],
+        **_element_payload(H, x),
     }
-    return 0, digest, payload
 
 
-def _cmd_powerset(ns, cfg: RunConfig):
+def _cmd_powerset(ns):
     K, digest = _load_monoid(ns)
     build = build_reduced_power_monoid(K)
     criterion = atomicity_criterion(K)
@@ -215,7 +184,7 @@ def _resolve_presentation(ns):
     raise FactorbenchError("no presentation given: use --family or --in")
 
 
-def _cmd_present(ns, cfg: RunConfig):
+def _cmd_present(ns):
     P, digest = _resolve_presentation(ns)
     action = ns.action
     needed = {"adian": 0, "nf": 1, "congruent": 2, "lengths": 1, "verify": 0}[action]
@@ -240,7 +209,7 @@ def _cmd_present(ns, cfg: RunConfig):
     elif action == "congruent":
         u = parse_word_text(ns.words[0])
         v = parse_word_text(ns.words[1])
-        res = congruent_bounded(P, u, v, cfg.budget)
+        res = congruent_bounded(P, u, v, ns.budget)
         payload["status"] = res.status.value
         if res.status is CongruenceStatus.EQUIVALENT:
             payload["chain"] = [format_word_text(w) for w in res.chain]
@@ -249,20 +218,20 @@ def _cmd_present(ns, cfg: RunConfig):
             payload["functional"] = dict(zip(P.generators, res.functional))
     elif action == "lengths":
         target = parse_word_text(ns.words[0])
-        probe = bounded_length_set(P, target, cfg.max_len, cfg.budget)
+        probe = bounded_length_set(P, target, ns.max_len, ns.budget)
         payload.update(
             {
                 "target": format_word_text(target),
-                "max_len": cfg.max_len,
+                "max_len": ns.max_len,
                 "lengths": list(probe.lengths),
                 "complete": probe.complete,
                 "generators_proven_atoms": probe.generators_proven_atoms,
             }
         )
     elif action == "verify":
-        rep = verify_ladder_properties(ns.samples, cfg.max_len, cfg.seed)
+        rep = verify_ladder_properties(ns.samples, ns.max_len, ns.seed)
         checked, failures = sample_psi_invariance(
-            max(ns.samples // 10, 1), cfg.max_len, cfg.seed
+            max(ns.samples // 10, 1), ns.max_len, ns.seed
         )
         payload.update(
             {
@@ -283,7 +252,7 @@ def _cmd_present(ns, cfg: RunConfig):
     return 0, digest, payload
 
 
-def _cmd_ints(ns, cfg: RunConfig):
+def _cmd_ints(ns):
     limit = ns.limit
     prime_bound = ns.prime_bound
     S = IntegerFragment(limit)
@@ -310,7 +279,7 @@ def _cmd_ints(ns, cfg: RunConfig):
     return (0 if ok else 2), digest, payload
 
 
-def _cmd_corpus(ns, cfg: RunConfig):
+def _cmd_corpus(ns):
     violations = scan_corpus(max_order=ns.max_order)
     digest = _digest(f"corpus:{ns.max_order}".encode())
     payload = {
@@ -346,13 +315,13 @@ def _render_text(data, indent=0) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(report: dict, ns) -> None:
+    if ns.fmt == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         text = _render_text(report) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -429,23 +398,16 @@ _HANDLERS = {
 
 
 def dispatch(ns) -> int:
-    cfg = RunConfig(
-        command=ns.command,
-        source="",
-        max_len=ns.max_len,
-        budget=ns.budget,
-        seed=ns.seed,
-        fmt=ns.fmt,
-        out=ns.out,
-    )
-    code, digest, payload = _HANDLERS[ns.command](ns, cfg)
+    if ns.max_len < 0 or ns.budget <= 0 or ns.seed < 0:
+        raise ValueError("bounds must be positive")
+    code, digest, payload = _HANDLERS[ns.command](ns)
     report = {
         "version": __version__,
         "command": ns.command,
         "input_digest": digest,
         "report": payload,
     }
-    _emit(report, cfg)
+    _emit(report, ns)
     return code
 
 
@@ -454,10 +416,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return dispatch(ns)
-    except FactorbenchError as exc:
-        print(f"factorbench: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (FactorbenchError, OSError, ValueError, KeyError) as exc:
         print(f"factorbench: {exc}", file=sys.stderr)
         return 1
 

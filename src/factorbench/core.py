@@ -149,6 +149,16 @@ class FiniteMonoid:
         except ValueError:
             raise KeyError(f"no element named {name!r}") from None
 
+    def completion_test(self, x: int):
+        return self.analysis.completion_test(x)
+
+    def pairs(self):
+        return product(self.elements(), repeat=2)
+
+    def powerful(self, a: int):
+        conflict = self.analysis.powerful_conflicts[self.atom_class_of[a]]
+        return conflict is None, conflict
+
     # -- cached structure ----------------------------------------------
 
     def _compute_units(self):
@@ -209,6 +219,18 @@ class FiniteMonoid:
         return {a: i for i, cls in enumerate(self.atom_classes) for a in cls}
 
     @cached_property
+    def analysis(self):
+        """The factorization.AtomAnalysis of this monoid, built on first use."""
+        from .factorization import AtomAnalysis
+        return AtomAnalysis(self)
+
+    @cached_property
+    def reduced_power(self):
+        """The power.PowerMonoidBuild of this monoid, built on first use."""
+        from .power import PowerMonoidBuild
+        return PowerMonoidBuild.of(self)
+
+    @cached_property
     def _two_sided_orbits(self) -> tuple[frozenset[int], ...]:
         # _two_sided_orbits[x] = H x H, the set of elements x divides.
         n = self.size
@@ -224,15 +246,6 @@ class FiniteMonoid:
 
 
 # -- structural analyses ------------------------------------------------
-
-
-def units(H: FiniteMonoid) -> tuple[frozenset[int], dict[int, int]]:
-    """The unit group together with the inverse of each unit."""
-    return H.units, dict(H.inverse)
-
-
-def atoms(H: FiniteMonoid) -> tuple[int, ...]:
-    return H.atoms
 
 
 def order_and_idempotents(H: FiniteMonoid) -> OrderReport:
@@ -361,18 +374,6 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
         group=grp_wit is None,
         witnesses=wit,
     )
-
-
-def atom_transversal(H: FiniteMonoid) -> tuple[int, ...]:
-    """One representative per associate class of atoms (smallest index)."""
-    out = []
-    seen = set()
-    for a in H.atoms:
-        c = H.association.class_of[a]
-        if c not in seen:
-            seen.add(c)
-            out.append(a)
-    return tuple(out)
 
 
 def reduce_generating_set(H: FiniteMonoid, gens) -> frozenset[int]:

@@ -17,7 +17,7 @@ from .core import (
     two_element_with_zero,
 )
 from .errors import IndexOutOfRange, NoIdentity, NotAssociative
-from .factorization import classify_arithmetic, length_set
+from .factorization import classify_arithmetic
 from .power import build_reduced_power_monoid
 
 SUBADDITIVITY_HORIZON = 30
@@ -33,11 +33,6 @@ def small_monoids(order: int):
             yield FiniteMonoid(table)
         except (NoIdentity, NotAssociative, IndexOutOfRange):
             continue
-
-
-def all_small_monoids(max_order: int = 3):
-    for n in range(1, max_order + 1):
-        yield from small_monoids(n)
 
 
 def curated_corpus() -> list[tuple[str, FiniteMonoid]]:
@@ -90,7 +85,7 @@ def scan_member(name: str, H: FiniteMonoid, horizon: int = SUBADDITIVITY_HORIZON
         violations.append(
             f"{name}: acyclic with non-trivial idempotents {oi.nontrivial_idempotents}"
         )
-    lsets = {x: length_set(H, x) for x in H.elements()}
+    lsets = H.analysis.length_sets
     for x in H.elements():
         lx = lsets[x].up_to(horizon)
         if not lx:

@@ -3,10 +3,14 @@ the domination preorder and minimal catalogs, primes, powerful atoms, and the
 classifier batteries.
 
 Every operation here works over a "factorization system": a carrier exposing
-identity, mul, is_unit, elements, divides, an atom alphabet and its associate
-classes.  Two carriers are provided: FiniteMonoid (from .core) and
-IntegerFragment (the integers 1..limit under multiplication, atoms = primes,
-all associate classes singletons).
+identity, mul, is_unit, elements, divides, an atom alphabet, its associate
+classes and three answers: completion_test(x), a predicate on prefix products
+(can the prefix still be completed to x?); pairs(), the pairs a primality
+scan tries; and powerful(a), as is_powerful returns it.  FiniteMonoid (from
+.core) answers from its AtomAnalysis, kept as H.analysis, which the
+finite-only deciders here read as well.  IntegerFragment (the integers
+1..limit under multiplication, atoms = primes, all associate classes
+singletons) answers by arithmetic.
 
 Atom words are plain tuples of carrier elements; the empty tuple is the empty
 word.
@@ -14,11 +18,10 @@ word.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .core import semigroup_closure
 from .errors import (
     AlphabetMismatch,
     CapExceeded,
@@ -64,6 +67,17 @@ class IntegerFragment:
     def name_of(self, x: int) -> str:
         return str(x)
 
+    def completion_test(self, x: int):
+        return lambda s: x % s == 0
+
+    def pairs(self):
+        for x in range(1, self.limit + 1):
+            for y in range(1, self.limit // x + 1):
+                yield x, y
+
+    def powerful(self, a: int) -> tuple[bool, None]:
+        return True, None
+
     def __repr__(self):
         return f"IntegerFragment({self.limit})"
 
@@ -106,19 +120,6 @@ def class_counts(S, w) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class FactorizationClass:
-    """Canonical key of a factorization congruence class: the evaluated
-    element plus the per-associate-class letter counts."""
-
-    element: object
-    class_counts: tuple[int, ...]
-
-
-def factorization_class(S, w) -> FactorizationClass:
-    return FactorizationClass(pi_eval(S, w), class_counts(S, w))
-
-
 def format_atom_word(S, w) -> str:
     return "*".join(S.name_of(a) for a in w) if w else "e"
 
@@ -126,24 +127,34 @@ def format_atom_word(S, w) -> str:
 # -- enumeration -----------------------------------------------------------
 
 
-def _completion_test(S, x):
-    # Predicate on prefix products: can this prefix still be completed to x?
-    if isinstance(S, IntegerFragment):
-        return lambda s: x % s == 0
-    # Reverse reachability over the atom Cayley digraph s -> s*a.
-    preds: dict[int, set[int]] = {}
-    for s in S.elements():
-        for a in S.atoms:
-            preds.setdefault(S.mul(s, a), set()).add(s)
-    reach = {x}
-    queue = deque([x])
-    while queue:
-        t = queue.popleft()
-        for s in preds.get(t, ()):
-            if s not in reach:
-                reach.add(s)
-                queue.append(s)
-    return reach.__contains__
+def _depth_first(root, children, word_cap: int):
+    """Yield every node of the search tree from root, depth first, in the
+    order children(node) yields each node's children.  An explicit stack,
+    bounded by word_cap nodes, replaces recursion and its depth limit."""
+    stack: list = []  # per node on the current branch, its children left
+    node, nodes = root, 0
+    while True:
+        nodes += 1
+        if nodes > word_cap:
+            raise ExplosionGuard(f"more than {word_cap} prefixes examined")
+        yield node
+        stack.append(children(node))
+        node = next(stack[-1], None)
+        while node is None:
+            stack.pop()
+            if not stack:
+                return
+            node = next(stack[-1], None)
+
+
+def _letters(word) -> tuple:
+    # Searches keep words as nested (prefix, letter) pairs, () being empty, so
+    # held words share prefixes: memory grows with nodes, not with lengths.
+    out = []
+    while word:
+        word, a = word
+        out.append(a)
+    return tuple(reversed(out))
 
 
 def enumerate_factorizations(S, x, max_len: int, word_cap: int = DEFAULT_WORD_CAP) -> list[tuple]:
@@ -151,35 +162,26 @@ def enumerate_factorizations(S, x, max_len: int, word_cap: int = DEFAULT_WORD_CA
     (lexicographic by atom order) order."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    admissible = _completion_test(S, x)
-    out: list[tuple] = []
-    atoms = S.atoms
-    nodes = 0
+    admissible = S.completion_test(x)
+    if not admissible(S.identity):
+        return []
 
-    def rec(prod, word):
-        nonlocal nodes
-        nodes += 1
-        if nodes > word_cap:
-            raise ExplosionGuard(f"more than {word_cap} prefixes examined")
-        if prod == x:
-            out.append(tuple(word))
-        if len(word) == max_len:
-            return
-        for a in atoms:
-            nxt = S.mul(prod, a)
-            if admissible(nxt):
-                word.append(a)
-                rec(nxt, word)
-                word.pop()
+    def children(node):
+        prod, length, word = node
+        if length < max_len:
+            for a in S.atoms:
+                nxt = S.mul(prod, a)
+                if admissible(nxt):
+                    yield nxt, length + 1, (word, a)
 
-    if admissible(S.identity):
-        rec(S.identity, [])
-    return out
+    walk = _depth_first((S.identity, 0, ()), children, word_cap)
+    found = [word for prod, _, word in walk if prod == x]
+    return [_letters(word) for word in found]
 
 
-def factorization_class_keys(S, x, max_len: int, word_cap: int = DEFAULT_WORD_CAP) -> set[tuple[int, ...]]:
+def factorization_class_keys(S, x, max_len: int) -> set[tuple[int, ...]]:
     """Distinct class-count vectors over factorizations of x up to max_len."""
-    return {class_counts(S, w) for w in enumerate_factorizations(S, x, max_len, word_cap)}
+    return {class_counts(S, w) for w in enumerate_factorizations(S, x, max_len)}
 
 
 # -- length sets -----------------------------------------------------------
@@ -261,28 +263,10 @@ class LengthSet:
         }
 
 
-def length_set(H, x, layer_cap: int = LAYER_CAP) -> LengthSet:
-    """Exact set of atom-word lengths evaluating to x.
-
-    Iterates the layer sets S_k (elements reachable from the identity in
-    exactly k atom steps); the sequence of layers over a finite carrier must
-    repeat, which pins down the preperiod and period of membership of x.
-    """
-    atoms = H.atoms
-    layers: list[frozenset] = []
-    seen: dict[frozenset, int] = {}
-    cur = frozenset({H.identity})
-    while cur not in seen:
-        seen[cur] = len(layers)
-        layers.append(cur)
-        if len(layers) > layer_cap:
-            raise CapExceeded(f"layer iteration exceeded {layer_cap} steps")
-        cur = frozenset(H.mul(s, a) for s in cur for a in atoms)
-    first = seen[cur]
-    p = len(layers) - first
-    finite = [k for k in range(first) if x in layers[k]]
-    residues = {(k - first) % p for k in range(first, len(layers)) if x in layers[k]}
-    return LengthSet.build(finite, first, p, residues)
+def length_set(H, x) -> LengthSet:
+    """Exact set of atom-word lengths evaluating to x (see
+    AtomAnalysis.length_sets)."""
+    return H.analysis.length_sets[x]
 
 
 # -- classifier battery ------------------------------------------------------
@@ -300,79 +284,9 @@ class ArithmeticFlags:
     witnesses: dict[str, object]
 
 
-def _pumpable_vertex(H):
-    # A vertex reachable from the identity that lies on a directed cycle of
-    # the atom Cayley digraph; pumping that cycle yields ever-longer
-    # factorizations, hence ever more congruence classes.
-    atoms = H.atoms
-    if not atoms:
-        return None
-    reach = {H.identity}
-    queue = deque(reach)
-    while queue:
-        s = queue.popleft()
-        for a in atoms:
-            t = H.mul(s, a)
-            if t not in reach:
-                reach.add(t)
-                queue.append(t)
-    for v in sorted(reach):
-        frontier = {H.mul(v, a) for a in atoms}
-        seen = set(frontier)
-        queue = deque(frontier)
-        if v in seen:
-            return v
-        while queue:
-            s = queue.popleft()
-            for a in atoms:
-                t = H.mul(s, a)
-                if t == v:
-                    return v
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    return None
-
-
 def classify_arithmetic(H) -> ArithmeticFlags:
-    """Decide atomic/BF/FF/HF for a finite carrier.
-
-    BF is decided from the exact length sets; FF independently from the
-    absence of a pumpable cycle in the atom Cayley digraph.  The two must
-    agree on finite carriers, which the test suite asserts.
-    """
-    witnesses: dict[str, object] = {}
-    nonunits = [x for x in H.elements() if not H.is_unit(x)]
-    closure = semigroup_closure(H, H.atoms) if H.atoms else frozenset()
-    atomic_wit = next((x for x in nonunits if x not in closure), None)
-    atomic = atomic_wit is None
-    if not atomic:
-        witnesses["atomic"] = atomic_wit
-
-    lsets = {x: length_set(H, x) for x in H.elements()}
-    bf_wit = next((x for x in H.elements() if not lsets[x].is_finite), None)
-    bf = atomic and bf_wit is None
-    if bf_wit is not None:
-        witnesses["bf"] = bf_wit
-
-    ff_wit = _pumpable_vertex(H)
-    ff = atomic and ff_wit is None
-    if ff_wit is not None:
-        witnesses["ff"] = ff_wit
-
-    hf_wit = next(
-        (
-            x
-            for x in nonunits
-            if not (lsets[x].is_finite and len(lsets[x].finite_part) == 1)
-        ),
-        None,
-    )
-    hf = atomic and hf_wit is None
-    if hf_wit is not None:
-        witnesses["hf"] = hf_wit
-
-    return ArithmeticFlags(atomic=atomic, bf=bf, ff=ff, hf=hf, witnesses=witnesses)
+    """Decide atomic/BF/FF/HF for a finite carrier (see AtomAnalysis.flags)."""
+    return H.analysis.flags
 
 
 # -- the domination preorder -------------------------------------------------
@@ -408,7 +322,7 @@ def compare(S, wa, wb) -> Comparison:
     return Comparison.INCOMPARABLE
 
 
-def is_minimal(S, w, word_cap: int = DEFAULT_WORD_CAP) -> bool:
+def is_minimal(S, w) -> bool:
     """True iff no strictly shorter word with the same evaluation embeds into
     w class-wise.  Strict domination forces strictly smaller length, so the
     search is bounded by len(w) - 1."""
@@ -417,7 +331,7 @@ def is_minimal(S, w, word_cap: int = DEFAULT_WORD_CAP) -> bool:
         return True
     target = pi_eval(S, w)
     cw = class_counts(S, w)
-    for v in enumerate_factorizations(S, target, len(w) - 1, word_cap):
+    for v in enumerate_factorizations(S, target, len(w) - 1):
         cv = class_counts(S, v)
         if all(a <= b for a, b in zip(cv, cw)):
             return False
@@ -449,72 +363,15 @@ class MinimalCatalog:
         return tuple(sorted({sum(e.counts) for e in self.classes_of(x)}))
 
 
-def minimal_catalog(H, word_cap: int = DEFAULT_WORD_CAP) -> MinimalCatalog:
-    """Exact minimal classes for every element.
-
-    Only words whose prefix-product sequence (identity included) has pairwise
-    distinct entries are generated: a repeated prefix product means a loop can
-    be excised, leaving a strictly shorter word that dominates the original.
-    Hence all candidates have length <= |H| - 1 and the catalog is exact; the
-    test suite checks this against a pruning-free enumeration.
-    """
-    atoms = H.atoms
-    class_of = H.atom_class_of
-    width = len(H.atom_classes)
-    candidates: dict[object, dict[tuple[int, ...], tuple]] = {
-        x: {} for x in H.elements()
-    }
-    nodes = 0
-
-    def rec(prod, seen, word, counts):
-        nonlocal nodes
-        nodes += 1
-        if nodes > word_cap:
-            raise ExplosionGuard(f"more than {word_cap} prefixes examined")
-        reps = candidates[prod]
-        key = tuple(counts)
-        if key not in reps:
-            reps[key] = tuple(word)
-        for a in atoms:
-            nxt = H.mul(prod, a)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            word.append(a)
-            counts[class_of[a]] += 1
-            rec(nxt, seen, word, counts)
-            counts[class_of[a]] -= 1
-            word.pop()
-            seen.discard(nxt)
-
-    rec(H.identity, {H.identity}, [], [0] * width)
-
-    per_element: dict[object, tuple[MinimalClassEntry, ...]] = {}
-    kappa = 0
-    for x in H.elements():
-        keys = candidates[x]
-        minimal = [
-            k
-            for k in keys
-            if not any(
-                other != k and all(o <= c for o, c in zip(other, k))
-                for other in keys
-            )
-        ]
-        entries = tuple(
-            MinimalClassEntry(k, keys[k])
-            for k in sorted(minimal, key=lambda k: (sum(k), k))
-        )
-        per_element[x] = entries
-        if entries:
-            kappa = max(kappa, max(sum(e.counts) for e in entries))
-    return MinimalCatalog(per_element, kappa)
+def minimal_catalog(H) -> MinimalCatalog:
+    """Exact minimal classes for every element (see AtomAnalysis.catalog)."""
+    return H.analysis.catalog
 
 
-def kappa_and_dichotomy(H, catalog: MinimalCatalog | None = None) -> tuple[int, tuple[int, ...]]:
+def kappa_and_dichotomy(H) -> tuple[int, tuple[int, ...]]:
     """kappa plus the union of minimal length sets, asserting the union is the
     full interval 0..kappa."""
-    cat = catalog if catalog is not None else minimal_catalog(H)
+    cat = minimal_catalog(H)
     lengths = sorted(
         {sum(e.counts) for entries in cat.per_element.values() for e in entries}
     )
@@ -528,24 +385,13 @@ def kappa_and_dichotomy(H, catalog: MinimalCatalog | None = None) -> tuple[int, 
 # -- primes and powerful atoms -------------------------------------------------
 
 
-def _pair_stream(S):
-    if isinstance(S, IntegerFragment):
-        for x in range(1, S.limit + 1):
-            for y in range(1, S.limit // x + 1):
-                yield x, y
-    else:
-        for x in S.elements():
-            for y in S.elements():
-                yield x, y
-
-
 def is_prime(S, p) -> tuple[bool, tuple | None]:
     """Exhaustive primality scan: p is prime iff it is a non-unit and divides
     a product only by dividing a factor.  Returns (flag, counterexample); the
     counterexample is a pair (x, y) with p | x*y but p dividing neither."""
     if S.is_unit(p):
         return False, None
-    for x, y in _pair_stream(S):
+    for x, y in S.pairs():
         if S.divides(p, S.mul(x, y)) and not S.divides(p, x) and not S.divides(p, y):
             return False, (x, y)
     return True, None
@@ -558,32 +404,16 @@ def is_powerful(S, a) -> tuple[bool, tuple | None]:
     For a finite monoid this is a potential labeling of the atom Cayley
     digraph from the identity, with edge weight 1 exactly on edges whose atom
     is associated to a: factorizations of an element are walks to its vertex,
-    so a is powerful iff no vertex receives two distinct potentials.  Returns
-    (flag, conflict) with conflict = (element, potential_a, potential_b).
+    so a is powerful iff no vertex receives two distinct potentials (see
+    AtomAnalysis.powerful_conflicts).  Returns (flag, conflict) with
+    conflict = (element, potential_a, potential_b).
 
     For the integer fragment the prime valuation is determined by the element
     itself, so every prime is powerful.
     """
     if a not in S.atom_class_of:
         raise ValueError(f"{a!r} is not an atom")
-    if isinstance(S, IntegerFragment):
-        return True, None
-    target = S.atom_class_of[a]
-    weights = {b: (1 if S.atom_class_of[b] == target else 0) for b in S.atoms}
-    potential = {S.identity: 0}
-    queue = deque([S.identity])
-    while queue:
-        s = queue.popleft()
-        base = potential[s]
-        for b in S.atoms:
-            t = S.mul(s, b)
-            w = base + weights[b]
-            if t not in potential:
-                potential[t] = w
-                queue.append(t)
-            elif potential[t] != w:
-                return False, (t, potential[t], w)
-    return True, None
+    return S.powerful(a)
 
 
 def integer_class_table(limit: int) -> list[set[tuple[int, ...]] | None]:
@@ -631,7 +461,7 @@ class FactorialFlags:
     witnesses: dict[str, object]
 
 
-def factorial_battery(H, word_cap: int = DEFAULT_WORD_CAP) -> FactorialFlags:
+def factorial_battery(H) -> FactorialFlags:
     flags = classify_arithmetic(H)
     nonunits = [x for x in H.elements() if not H.is_unit(x)]
     witnesses: dict[str, object] = {}
@@ -645,7 +475,7 @@ def factorial_battery(H, word_cap: int = DEFAULT_WORD_CAP) -> FactorialFlags:
     if route_b:
         for x in nonunits:
             bound = length_set(H, x).sup()
-            keys = factorization_class_keys(H, x, int(bound), word_cap)
+            keys = factorization_class_keys(H, x, int(bound))
             if len(keys) != 1:
                 route_b = False
                 witnesses["factorial"] = x
@@ -655,7 +485,7 @@ def factorial_battery(H, word_cap: int = DEFAULT_WORD_CAP) -> FactorialFlags:
             f"factoriality routes disagree: powerful-atoms={route_a}, class-count={route_b}"
         )
 
-    cat = minimal_catalog(H, word_cap)
+    cat = minimal_catalog(H)
     if flags.atomic:
         missing = next((x for x in nonunits if not cat.classes_of(x)), None)
         if missing is not None:
@@ -677,3 +507,222 @@ def factorial_battery(H, word_cap: int = DEFAULT_WORD_CAP) -> FactorialFlags:
         fmf=flags.atomic,
         witnesses=witnesses,
     )
+
+
+# -- the atom Cayley digraph ------------------------------------------------------
+
+
+class AtomAnalysis:
+    """The atom Cayley digraph s -> s*a of a finite monoid, kept as
+    H.analysis, with each part computed on first use.  Cross-check sides
+    share only the successor table: BF reads the length sets, FF the strong
+    components, the factoriality routes the potentials and the words."""
+
+    def __init__(self, H):
+        self.H = H
+        self.succ = tuple(tuple(row[a] for a in H.atoms) for row in H.table)
+        self.preds: list[set[int]] = [set() for _ in self.succ]
+        for s, targets in enumerate(self.succ):
+            for t in targets:
+                self.preds[t].add(s)
+
+    def completion_test(self, x):
+        """Membership in the set of vertices from which x is reachable."""
+        reach = {x}
+        work = [x]
+        while work:
+            for s in self.preds[work.pop()]:
+                if s not in reach:
+                    reach.add(s)
+                    work.append(s)
+        return reach.__contains__
+
+    @cached_property
+    def length_sets(self) -> dict[int, LengthSet]:
+        """Exact length set of every element.
+
+        Iterates the layer sets S_k (elements reachable from the identity in
+        exactly k atom steps) once; the sequence of layers over a finite
+        carrier must repeat, which pins down the preperiod and period of
+        membership of every element.
+        """
+        layers: list[frozenset] = []
+        seen: dict[frozenset, int] = {}
+        cur = frozenset({self.H.identity})
+        while cur not in seen:
+            seen[cur] = len(layers)
+            layers.append(cur)
+            if len(layers) > LAYER_CAP:
+                raise CapExceeded(f"layer iteration exceeded {LAYER_CAP} steps")
+            cur = frozenset(t for s in cur for t in self.succ[s])
+        first = seen[cur]
+        p = len(layers) - first
+        lsets = {}
+        for x in self.H.elements():
+            finite = [k for k in range(first) if x in layers[k]]
+            residues = {(k - first) % p for k in range(first, len(layers)) if x in layers[k]}
+            lsets[x] = LengthSet.build(finite, first, p, residues)
+        return lsets
+
+    def pumpable_vertex(self) -> int | None:
+        """The smallest vertex reachable from the identity that lies on a
+        directed cycle, or None; pumping that cycle yields ever-longer
+        factorizations, hence ever more congruence classes.
+
+        A vertex lies on a cycle iff it has a loop or shares its strongly
+        connected component; the components come from one iterative pass of
+        Tarjan's algorithm (SIAM J. Comput. 1972), in O(|H| * |A|)."""
+        succ = self.succ
+        root = self.H.identity
+        index = {root: 0}
+        low = {root: 0}  # kept while the vertex is on Tarjan's stack
+        stack, on_cycle = [root], []
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, rest = work[-1]
+            w = next(rest, None)
+            if w is None:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    scc = [stack.pop()]
+                    while scc[-1] != v:
+                        scc.append(stack.pop())
+                    for w in scc:
+                        del low[w]
+                    if len(scc) > 1 or v in succ[v]:
+                        on_cycle += scc
+            elif w not in index:
+                index[w] = low[w] = len(index)
+                stack.append(w)
+                work.append((w, iter(succ[w])))
+            elif w in low:
+                low[v] = min(low[v], index[w])
+        return min(on_cycle, default=None)
+
+    @cached_property
+    def flags(self) -> ArithmeticFlags:
+        """atomic/BF/FF/HF.
+
+        A non-unit is a product of atoms iff its length set is not empty.  BF
+        is decided from the exact length sets; FF independently from the
+        absence of a pumpable cycle in the atom Cayley digraph.  The two must
+        agree on finite carriers, which the test suite asserts.
+        """
+        H = self.H
+        lsets = self.length_sets
+        witnesses: dict[str, object] = {}
+        nonunits = [x for x in H.elements() if not H.is_unit(x)]
+        atomic_wit = next((x for x in nonunits if lsets[x].is_empty()), None)
+        atomic = atomic_wit is None
+        if not atomic:
+            witnesses["atomic"] = atomic_wit
+
+        bf_wit = next((x for x in H.elements() if not lsets[x].is_finite), None)
+        bf = atomic and bf_wit is None
+        if bf_wit is not None:
+            witnesses["bf"] = bf_wit
+
+        ff_wit = self.pumpable_vertex()
+        ff = atomic and ff_wit is None
+        if ff_wit is not None:
+            witnesses["ff"] = ff_wit
+
+        hf_wit = next(
+            (
+                x
+                for x in nonunits
+                if not (lsets[x].is_finite and len(lsets[x].finite_part) == 1)
+            ),
+            None,
+        )
+        hf = atomic and hf_wit is None
+        if hf_wit is not None:
+            witnesses["hf"] = hf_wit
+
+        return ArithmeticFlags(atomic=atomic, bf=bf, ff=ff, hf=hf, witnesses=witnesses)
+
+    @cached_property
+    def powerful_conflicts(self) -> tuple[tuple | None, ...]:
+        """Per atom class, the conflict is_powerful reports, or None.
+
+        A class's potential at a vertex is its letter count on the walk of
+        the breadth-first tree from the identity.  The search order does not
+        depend on the class, so one search with class-count vectors as
+        potentials meets, for every class, the first conflicting edge that a
+        search for that class alone meets."""
+        H = self.H
+        letters = [H.atom_class_of[a] for a in H.atoms]
+        conflicts: list[tuple | None] = [None] * len(H.atom_classes)
+        potential = {H.identity: (0,) * len(conflicts)}
+        queue = [H.identity]
+        for s in queue:
+            base = potential[s]
+            for t, c in zip(self.succ[s], letters):
+                w = base[:c] + (base[c] + 1,) + base[c + 1 :]
+                if t not in potential:
+                    potential[t] = w
+                    queue.append(t)
+                elif potential[t] != w:
+                    for k, (old, new) in enumerate(zip(potential[t], w)):
+                        if old != new and conflicts[k] is None:
+                            conflicts[k] = (t, old, new)
+        return tuple(conflicts)
+
+    @cached_property
+    def catalog(self) -> MinimalCatalog:
+        """Exact minimal classes for every element.
+
+        Only words whose prefix-product sequence (identity included) has
+        pairwise distinct entries are generated: a repeated prefix product
+        means a loop can be excised, leaving a strictly shorter word that
+        dominates the original.  Hence all candidates have length <= |H| - 1
+        and the catalog is exact; the test suite checks this against a
+        pruning-free enumeration.
+        """
+        H = self.H
+        on_path = {H.identity}
+        counts = [0] * len(H.atom_classes)
+
+        def children(node):
+            prod, word = node
+            for a, nxt in zip(H.atoms, self.succ[prod]):
+                if nxt not in on_path:
+                    on_path.add(nxt)
+                    counts[H.atom_class_of[a]] += 1
+                    yield nxt, (word, a)
+                    counts[H.atom_class_of[a]] -= 1
+                    on_path.discard(nxt)
+
+        # Per element, the first word met for each class-count vector.
+        candidates: dict[object, dict[tuple[int, ...], tuple]] = {
+            x: {} for x in H.elements()
+        }
+        for prod, word in _depth_first((H.identity, ()), children, DEFAULT_WORD_CAP):
+            reps = candidates[prod]
+            key = tuple(counts)
+            if key not in reps:
+                reps[key] = word
+
+        per_element: dict[object, tuple[MinimalClassEntry, ...]] = {}
+        kappa = 0
+        for x in H.elements():
+            keys = candidates[x]
+            minimal = [
+                k
+                for k in keys
+                if not any(
+                    other != k and all(o <= c for o, c in zip(other, k))
+                    for other in keys
+                )
+            ]
+            entries = tuple(
+                MinimalClassEntry(k, _letters(keys[k]))
+                for k in sorted(minimal, key=lambda k: (sum(k), k))
+            )
+            per_element[x] = entries
+            if entries:
+                kappa = max(kappa, max(sum(e.counts) for e in entries))
+        return MinimalCatalog(per_element, kappa)

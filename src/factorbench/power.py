@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .core import FiniteMonoid
 from .errors import BoundViolation, CrossCheckMismatch, SizeLimit
-from .factorization import MinimalCatalog, classify_arithmetic, minimal_catalog
+from .factorization import classify_arithmetic, minimal_catalog
 
 DEFAULT_BASE_CAP = 12
 
@@ -27,31 +27,36 @@ class PowerMonoidBuild:
     result: FiniteMonoid
     subset_of: tuple[frozenset[int], ...]
 
+    @classmethod
+    def of(cls, K: FiniteMonoid) -> "PowerMonoidBuild":
+        n = K.size
+        if n > DEFAULT_BASE_CAP:
+            raise SizeLimit(f"base of size {n} exceeds cap {DEFAULT_BASE_CAP}")
+        masks = [m | 1 for m in range(0, 1 << n, 2)]
+        pos = {m: i for i, m in enumerate(masks)}
 
-def build_reduced_power_monoid(K: FiniteMonoid, base_cap: int = DEFAULT_BASE_CAP) -> PowerMonoidBuild:
-    n = K.size
-    if n > base_cap:
-        raise SizeLimit(f"base of size {n} exceeds cap {base_cap}")
-    masks = [m | 1 for m in range(0, 1 << n, 2)]
-    pos = {m: i for i, m in enumerate(masks)}
+        def bits(mask):
+            return [i for i in range(n) if mask >> i & 1]
 
-    def bits(mask):
-        return [i for i in range(n) if mask >> i & 1]
+        def setwise(ma, mb):
+            out = 0
+            for x in bits(ma):
+                row = K.table[x]
+                for y in bits(mb):
+                    out |= 1 << row[y]
+            return out
 
-    def setwise(ma, mb):
-        out = 0
-        for x in bits(ma):
-            row = K.table[x]
-            for y in bits(mb):
-                out |= 1 << row[y]
-        return out
+        table = [[pos[setwise(ma, mb)] for mb in masks] for ma in masks]
+        names = tuple(
+            "{" + ",".join(K.names[i] for i in bits(m)) + "}" for m in masks
+        )
+        result = FiniteMonoid(table, names)
+        return cls(K, result, tuple(frozenset(bits(m)) for m in masks))
 
-    table = [[pos[setwise(ma, mb)] for mb in masks] for ma in masks]
-    names = tuple(
-        "{" + ",".join(K.names[i] for i in bits(m)) + "}" for m in masks
-    )
-    result = FiniteMonoid(table, names)
-    return PowerMonoidBuild(K, result, tuple(frozenset(bits(m)) for m in masks))
+
+def build_reduced_power_monoid(K: FiniteMonoid) -> PowerMonoidBuild:
+    """The reduced power monoid of K, built once and kept as K.reduced_power."""
+    return K.reduced_power
 
 
 def atomicity_criterion(K: FiniteMonoid) -> bool:
@@ -77,12 +82,12 @@ class KappaReport:
     atomic: bool
 
 
-def kappa_report(K: FiniteMonoid, catalog: MinimalCatalog | None = None) -> KappaReport:
+def kappa_report(K: FiniteMonoid) -> KappaReport:
     """kappa of the reduced power monoid against the proven bound |K| - 1."""
-    build = build_reduced_power_monoid(K)
-    cat = catalog if catalog is not None else minimal_catalog(build.result)
+    P = build_reduced_power_monoid(K).result
+    cat = minimal_catalog(P)
     bound = K.size - 1
     if cat.kappa > bound:
         raise BoundViolation(f"kappa {cat.kappa} exceeds bound {bound}")
-    atomic = classify_arithmetic(build.result).atomic
+    atomic = classify_arithmetic(P).atomic
     return KappaReport(cat.kappa, bound, cat.kappa == bound, atomic)

@@ -44,12 +44,8 @@ class Presentation:
             raise ParseError("duplicate generator")
         if "e" in self.generators:
             raise ParseError("'e' is reserved for the empty word")
-        declared = set(self.generators)
         for lhs, rhs in self.relations:
-            for word in (lhs, rhs):
-                for g in word:
-                    if g not in declared:
-                        raise UnknownGenerator(f"undeclared generator {g!r}")
+            self.check_word(lhs + rhs)
 
     def check_word(self, word) -> GenWord:
         word = tuple(word)
@@ -412,10 +408,6 @@ def normal_form(word) -> GenWord:
             return tuple(s)
         inner = (m.end() - m.start()) - 4
         s = s[: m.start()] + "x" + "y" * (inner - 1) + "z" + s[m.end() :]
-
-
-def is_normal(word) -> bool:
-    return _CONTRACT.search(_ladder_str(word)) is None
 
 
 def _random_ladder_word(rng: Random, max_len: int) -> GenWord:

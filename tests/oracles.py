@@ -40,6 +40,57 @@ def brute_divides(table, x, y):
     return any(table[table[u][x]][v] == y for u in range(n) for v in range(n))
 
 
+def potential_labeling(H, a):
+    """Decide whether the atom a is powerful by one breadth-first potential
+    labeling of s -> s*b from the identity, weight 1 on the atoms b
+    associated to a (b = u*a*v with u, v units).  Returns (flag, conflict)
+    with conflict = (element, potential_a, potential_b) at the first edge
+    whose potential disagrees, in breadth-first edge order."""
+    t = H.table
+    units = brute_units(t)
+    associates = {t[t[u][a]][v] for u in units for v in units}
+    potential = {0: 0}
+    queue = [0]
+    for s in queue:
+        for b in H.atoms:
+            target = t[s][b]
+            w = potential[s] + (b in associates)
+            if target not in potential:
+                potential[target] = w
+                queue.append(target)
+            elif potential[target] != w:
+                return False, (target, potential[target], w)
+    return True, None
+
+
+def pumpable_vertex(H):
+    """The smallest vertex reachable from the identity over s -> s*a that
+    lies on a directed cycle, by a search from each such vertex in turn."""
+    t = H.table
+
+    def successors(s):
+        return [t[s][a] for a in H.atoms]
+
+    reach = {0}
+    work = [0]
+    while work:
+        for nxt in successors(work.pop()):
+            if nxt not in reach:
+                reach.add(nxt)
+                work.append(nxt)
+    for v in sorted(reach):
+        seen = set()
+        work = successors(v)
+        while work:
+            s = work.pop()
+            if s == v:
+                return v
+            if s not in seen:
+                seen.add(s)
+                work.extend(successors(s))
+    return None
+
+
 def brute_lengths(H, x, horizon):
     """Walk lengths from the identity to x, by direct layer iteration."""
     found = set()

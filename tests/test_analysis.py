@@ -1,0 +1,57 @@
+"""The atom-digraph analysis: it agrees with the per-atom and per-vertex
+searches it replaced (kept in oracles.py), and a request computes each of
+its quantities once."""
+
+import factorbench as fb
+from factorbench.cli import main
+from factorbench.core import FiniteMonoid
+from factorbench.corpus import corpus_members
+from factorbench.factorization import AtomAnalysis
+from factorbench.power import atomicity_criterion, kappa_report
+from oracles import potential_labeling, pumpable_vertex
+from test_random_monoids import INSTANCES
+
+
+def test_potentials_and_cycles_match_oracles(sample_corpus):
+    monoids = sample_corpus + corpus_members(3)
+    monoids += [(f"seed{seed}", H) for seed, H in INSTANCES]
+    for name, H in monoids:
+        for a in H.atoms:
+            assert fb.is_powerful(H, a) == potential_labeling(H, a), (name, a)
+        assert fb.classify_arithmetic(H).witnesses.get("ff") == pumpable_vertex(H), name
+
+
+def test_analyze_searches_catalog_and_layers_once(monkeypatch, capsys):
+    calls = {"catalog": 0, "length_sets": 0}
+    for name in calls:
+        prop = AtomAnalysis.__dict__[name]
+
+        def counted(self, compute=prop.func, name=name):
+            calls[name] += 1
+            return compute(self)
+
+        monkeypatch.setattr(prop, "func", counted)
+    assert main(["analyze", "--null", "2"]) == 0
+    capsys.readouterr()
+    assert calls == {"catalog": 1, "length_sets": 1}
+
+
+def test_power_monoid_is_built_once(monkeypatch, capsys):
+    sizes = []
+    init = FiniteMonoid.__init__
+
+    def counted(self, table, names=None):
+        sizes.append(len(table))
+        init(self, table, names)
+
+    monkeypatch.setattr(FiniteMonoid, "__init__", counted)
+    assert main(["powerset", "--cyclic", "4"]) == 0
+    capsys.readouterr()
+    assert sizes == [4, 8]
+
+    # the calls scripts/kappa_survey.py makes per base
+    sizes.clear()
+    K = fb.cyclic(4)
+    atomicity_criterion(K)
+    kappa_report(K)
+    assert sizes == [4, 8]

@@ -171,6 +171,23 @@ def test_reports_identical_across_processes(tmp_path, n3):
     assert outputs[0] == outputs[1]
 
 
+def test_deep_factorize_stops_at_the_word_cap(tmp_path):
+    # --max-len far beyond the interpreter's recursion limit: the search must
+    # end in the typed word-cap error, not in a RecursionError traceback
+    path = tmp_path / "n3xc2.json"
+    fb.save_cayley(fb.direct_product(fb.null_monoid(1), fb.cyclic(2)), path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "factorbench.cli", "factorize", "(0,1)",
+         "--in", str(path), "--max-len", "3000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "more than 1000000 prefixes examined" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_text_format_renders_same_data(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--cyclic", "3", "--format", "text")
     assert code == 0

@@ -457,7 +457,7 @@ def test_full_transformation_monoid_is_atomless():
     assert not flags.atomic and not flags.bf and not flags.ff and not flags.hf
     cat = fb.minimal_catalog(t3)
     assert cat.kappa == 0
-    assert fb.kappa_and_dichotomy(t3, cat) == (0, (0,))
+    assert fb.kappa_and_dichotomy(t3) == (0, (0,))
     rep = fb.property_battery(t3)
     assert not rep.group and not rep.acyclic and not rep.normalizing
 

@@ -79,9 +79,9 @@ def test_length_sets_match_brute_walks(seed, H):
 def test_classifiers_and_catalog(seed, H):
     flags = fb.classify_arithmetic(H)
     assert flags.bf == flags.ff
-    cat = fb.minimal_catalog(H, word_cap=10**6)
+    cat = fb.minimal_catalog(H)
     assert cat.kappa <= H.size - 1
-    kappa, union = fb.kappa_and_dichotomy(H, cat)
+    kappa, union = fb.kappa_and_dichotomy(H)
     assert union == tuple(range(kappa + 1))
     expected, expected_kappa = class_space_catalog(H)
     for x in H.elements():
