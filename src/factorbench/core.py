@@ -25,6 +25,16 @@ from .errors import (
 # many candidate elements.
 ENUMERATION_CAP = 10**6
 
+# Built instances (cyclic, null_monoid, gl, direct_product) refuse an order
+# above this before allocating their table of order**2 entries; gl(2, 5) has
+# order 480.
+ORDER_CAP = 1024
+
+
+def _check_order(order: int, what: str) -> None:
+    if order > ORDER_CAP:
+        raise SizeLimit(f"{what} has order {order}, above the cap {ORDER_CAP}")
+
 
 @dataclass(frozen=True)
 class AssociationPartition:
@@ -67,42 +77,99 @@ class OrderReport:
     nontrivial_idempotents: tuple[int, ...]
 
 
+def _greedy_generators(rows) -> tuple[int, ...]:
+    """A generating set of the monoid with identity 0: repeatedly take the
+    smallest element not yet reached and close under s -> s*g for the chosen
+    g, starting from the identity."""
+    gens: list[int] = []
+    reached = {0}
+    for g in range(len(rows)):
+        if g in reached:
+            continue
+        gens.append(g)
+        work = list(reached)
+        while work:
+            row = rows[work.pop()]
+            for h in gens:
+                p = row[h]
+                if p not in reached:
+                    reached.add(p)
+                    work.append(p)
+    return tuple(gens)
+
+
+def _associates_on(rows, gens) -> bool:
+    """Light's associativity test: (x*a)*y == x*(a*y) for every a in gens and
+    every x, y, one whole row y -> (x*a)*y per (x, a), in O(n^2 * len(gens)).
+
+    It is exact when gens generates the monoid from the identity.  The set B
+    of b with (x*b)*y == x*(b*y) for all x, y contains the identity, and it
+    is closed under products: for b, c in B,
+    (x*(bc))*y = ((x*b)*c)*y = (x*b)*(c*y) = x*(b*(c*y)) = x*((bc)*y).
+    gens lies in B, so everything gens reaches, the whole table, lies in B.
+    """
+    for rx in rows:
+        col = rx.__getitem__
+        for a in gens:
+            if rows[rx[a]] != tuple(map(col, rows[a])):
+                return False
+    return True
+
+
+def _raise_first_non_associative(rows) -> None:
+    """Raise NotAssociative at the lexicographically first (x, y, z) with
+    (x*y)*z != x*(y*z); the O(n^3) scan, run only once Light's test failed."""
+    n = len(rows)
+    for x in range(n):
+        rx = rows[x]
+        for y in range(n):
+            rxy = rows[rx[y]]
+            ry = rows[y]
+            for z in range(n):
+                if rxy[z] != rx[ry[z]]:
+                    raise NotAssociative(x, y, z)
+
+
 class FiniteMonoid:
     """A finite monoid, validated at construction.
 
-    Construction is O(n^3) (full associativity check) and eagerly computes the
-    unit group and the association partition.  Instances are immutable and all
-    queries are pure, so they are safe to share between workers.
+    Construction checks associativity with Light's test on a greedy
+    generating set, O(n^2 * g) for g generators (g is 1 for a cyclic group
+    and n - 2 for a null monoid, which no smaller set generates), and
+    eagerly computes the unit group and the association partition.  Instances are immutable and
+    all queries are pure, so they are safe to share between workers.
     """
 
     identity = 0
 
     def __init__(self, table, names=None):
-        rows = tuple(tuple(row) for row in table)
+        try:
+            rows = tuple(tuple(row) for row in table)
+        except TypeError:
+            raise ValueError("a table must be a list of rows of element indices") from None
         n = len(rows)
         if n < 1:
             raise NoIdentity("a monoid needs at least the identity element")
         for x, row in enumerate(rows):
             if len(row) != n:
                 raise IndexOutOfRange(f"row {x} has length {len(row)}, expected {n}")
+            if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
+                continue
             for y, v in enumerate(row):
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise IndexOutOfRange(f"entry ({x}, {y}) = {v!r} not in [0, {n})")
         for x in range(n):
             if rows[0][x] != x or rows[x][0] != x:
                 raise NoIdentity(f"element 0 is not a two-sided identity (fails at {x})")
-        for x in range(n):
-            rx = rows[x]
-            for y in range(n):
-                rxy = rows[rx[y]]
-                ry = rows[y]
-                for z in range(n):
-                    if rxy[z] != rx[ry[z]]:
-                        raise NotAssociative(x, y, z)
+        if not _associates_on(rows, _greedy_generators(rows)):
+            _raise_first_non_associative(rows)
         if names is None:
             names = ("1",) + tuple(f"x{i}" for i in range(1, n))
         else:
-            names = tuple(str(s) for s in names)
+            try:
+                names = tuple(str(s) for s in names)
+            except TypeError:
+                raise ValueError(f"names must be a list of {n} strings") from None
             if len(names) != n:
                 raise ValueError(f"got {len(names)} names for {n} elements")
             if len(set(names)) != n:
@@ -293,15 +360,26 @@ def divisor_closed_submonoid(H: FiniteMonoid, xs) -> frozenset[int]:
 
 
 def property_battery(H: FiniteMonoid) -> PropertyReport:
-    """Decide the structural flags by exhaustive scan, recording the first
-    counterexample (lexicographic by element indices) for each false flag."""
+    """Decide the structural flags, recording the first counterexample
+    (lexicographic by element indices) for each false flag.
+
+    acyclic: a group (every element a unit) is acyclic with no witness.
+    Otherwise the (u, x, v) scan ends inside the u = 0 slice, because a
+    finite monoid that is not a group has a non-unit idempotent e (a power of
+    any non-unit) and (0, e, e) is a witness; so it is O(n^2).
+    cancellative: true iff every row and every column of the table is a
+    permutation, an O(n^2) test; the (x, y, z) scan runs only to name the
+    witness of a non-cancellative table.
+    unit_cancellative, normalizing, commutative: O(n^2) scans.
+    reduced, group: read off the unit group.
+    """
     n = H.size
     t = H.table
     un = H.units
     rng = range(n)
     wit: dict[str, tuple[int, ...]] = {}
 
-    acyclic_wit = next(
+    acyclic_wit = None if len(un) == n else next(
         (
             (u, x, v)
             for u in rng
@@ -326,7 +404,10 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
     if uc_wit:
         wit["unit_cancellative"] = uc_wit
 
-    canc_wit = next(
+    permutations = all(len(set(row)) == n for row in t) and all(
+        len(set(col)) == n for col in zip(*t)
+    )
+    canc_wit = None if permutations else next(
         (
             (x, y, z)
             for x in rng
@@ -423,11 +504,10 @@ def submonoid(H: FiniteMonoid, subset) -> tuple[FiniteMonoid, tuple[int, ...]]:
     return FiniteMonoid(table, names), tuple(elems)
 
 
-def direct_product(H: FiniteMonoid, K: FiniteMonoid, size_cap: int = ENUMERATION_CAP) -> FiniteMonoid:
+def direct_product(H: FiniteMonoid, K: FiniteMonoid) -> FiniteMonoid:
     """Componentwise product; names are paired."""
     n, m = H.size, K.size
-    if n * m > size_cap:
-        raise SizeLimit(f"product of sizes {n} x {m} exceeds cap {size_cap}")
+    _check_order(n * m, f"the product of sizes {n} x {m}")
     table = [
         [H.table[i1][i2] * m + K.table[j1][j2] for i2 in range(n) for j2 in range(m)]
         for i1 in range(n)
@@ -449,6 +529,7 @@ def trivial() -> FiniteMonoid:
 def cyclic(m: int) -> FiniteMonoid:
     if m < 1:
         raise ValueError("cyclic group order must be >= 1")
+    _check_order(m, f"cyclic({m})")
     names = ("1",) + tuple("g" if i == 1 else f"g^{i}" for i in range(1, m))
     return FiniteMonoid([[(i + j) % m for j in range(m)] for i in range(m)], names)
 
@@ -462,6 +543,7 @@ def null_monoid(k: int) -> FiniteMonoid:
     if k < 1:
         raise ValueError("need at least one generator")
     n = k + 2
+    _check_order(n, f"null_monoid({k})")
     zero = n - 1
     table = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -525,6 +607,7 @@ def gl(n: int, m: int) -> FiniteMonoid:
         mat = tuple(flat[i * n : (i + 1) * n] for i in range(n))
         if math.gcd(_det_mod([list(r) for r in mat], m), m) == 1:
             mats.append(mat)
+    _check_order(len(mats), f"gl({n}, {m})")
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     mats.remove(ident)
     mats.insert(0, ident)
@@ -574,7 +657,11 @@ def monoid_from_dict(data: dict) -> FiniteMonoid:
 
 def load_cayley(path) -> FiniteMonoid:
     with open(path, "r", encoding="utf-8") as fh:
-        return monoid_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("the Cayley file nests too deeply") from None
+    return monoid_from_dict(data)
 
 
 def dump_cayley(H: FiniteMonoid) -> str:

@@ -19,6 +19,51 @@ def associativity_triples(table):
     return bad
 
 
+def naive_battery(table):
+    """The witness of each false structural flag, by exhaustive scans in
+    lexicographic order: acyclic (u, x, v), unit_cancellative (x, y),
+    cancellative (x, y, z), normalizing (a,), commutative (x, y), reduced (u,)
+    and group (x,).  A flag is true iff its key is absent."""
+    n = len(table)
+    t = table
+    units = brute_units(t)
+    rng = range(n)
+    scans = {
+        "acyclic": (
+            (u, x, v)
+            for u in rng
+            for x in rng
+            for v in rng
+            if (u not in units or v not in units) and t[t[u][x]][v] == x
+        ),
+        "unit_cancellative": (
+            (x, y)
+            for x in rng
+            for y in rng
+            if y not in units and (t[x][y] == x or t[y][x] == x)
+        ),
+        "cancellative": (
+            (x, y, z)
+            for x in rng
+            for y in rng
+            for z in rng
+            if x != y and (t[x][z] == t[y][z] or t[z][x] == t[z][y])
+        ),
+        "normalizing": (
+            (a,) for a in rng if {t[a][x] for x in rng} != {t[x][a] for x in rng}
+        ),
+        "commutative": ((x, y) for x in rng for y in rng if t[x][y] != t[y][x]),
+        "reduced": ((u,) for u in sorted(units) if u != 0),
+        "group": ((x,) for x in rng if x not in units),
+    }
+    witnesses = {}
+    for flag, scan in scans.items():
+        first = next(scan, None)
+        if first is not None:
+            witnesses[flag] = first
+    return witnesses
+
+
 def brute_units(table):
     n = len(table)
     return {u for u in range(n) if any(table[u][v] == 0 == table[v][u] for v in range(n))}

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import factorbench as fb
 from factorbench.cli import main
@@ -199,6 +204,8 @@ def test_error_paths(capsys):
     assert code == 1 and "factorbench" in err
     code, _, err = run_cli(capsys, "analyze")
     assert code == 1  # no instance given
+    code, _, err = run_cli(capsys, "analyze", "--cyclic", "100000")
+    assert code == 1 and "above the cap" in err
     code, _, err = run_cli(capsys, "factorize", "zz", "--null", "1")
     assert code == 1  # unknown element name
     code, _, err = run_cli(capsys, "present", "congruent", "x", "--family", "ladder")
@@ -206,3 +213,52 @@ def test_error_paths(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
     assert exc.value.code != 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [json.dumps(doc) for doc in [{"table": 5}, {"table": [0]}, {"table": [[0]], "names": 5}]]
+    + ['{"table": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["table-int", "row-int", "names-int", "deep-nesting"],
+)
+def test_malformed_cayley_file_exits_one(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "--in", str(path))
+    assert code == 1 and out == "" and err.startswith("factorbench: ")
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([-1, 10**30, -(10**30), 2**63]),
+    st.floats(),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=20,
+)
+ENTRIES = st.integers(-2, 4) | JSON_SCALARS
+TABLES = st.lists(st.lists(ENTRIES, max_size=4) | JSON_SCALARS, max_size=4)
+NAMES = st.one_of(JSON_VALUES, st.lists(st.text(max_size=2) | st.integers(0, 3), max_size=5))
+CAYLEY_DOCS = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries({"table": TABLES | JSON_VALUES}, optional={"names": NAMES}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CAYLEY_DOCS)
+def test_analyze_on_arbitrary_json_ends_in_report_or_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--in", path])
+    assert code in (0, 1)
+    assert (code == 0) == (out.getvalue() != "")

@@ -69,6 +69,31 @@ def test_instance_catalog():
         fb.instance("gl", 3, 5)
 
 
+def test_built_orders_are_capped():
+    # each check runs before the table is allocated, so huge orders fail at once
+    cap = fb.core.ORDER_CAP
+    assert cap >= 480
+    for build in [
+        lambda: fb.cyclic(cap + 1),
+        lambda: fb.cyclic(10**12),
+        lambda: fb.null_monoid(cap - 1),
+        lambda: fb.null_monoid(10**12),
+        lambda: fb.gl(2, 7),  # 2016 invertible matrices out of 2401 candidates
+        lambda: fb.direct_product(fb.cyclic(32), fb.cyclic(33)),
+    ]:
+        with pytest.raises(SizeLimit):
+            build()
+    assert fb.cyclic(cap).size == cap
+
+
+def test_gl25_builds_with_group_flags():
+    H = fb.gl(2, 5)
+    assert H.size == 480
+    rep = fb.property_battery(H)
+    assert rep.group and rep.acyclic and rep.cancellative and rep.unit_cancellative
+    assert set(rep.witnesses) == {"commutative", "reduced"}
+
+
 def test_gl22_is_the_six_element_group():
     # oracle: by hand over the 16 matrices of F_2, six have determinant 1
     invertible = []
