@@ -16,7 +16,7 @@ from .core import (
     property_battery,
     two_element_with_zero,
 )
-from .errors import NotAssociative
+from .errors import IndexOutOfRange, NoIdentity, NotAssociative
 from .factorization import classify_arithmetic
 from .power import build_reduced_power_monoid
 
@@ -24,21 +24,14 @@ SUBADDITIVITY_HORIZON = 30
 
 
 def small_monoids(order: int):
-    """All monoid tables of exactly this order with identity 0: row 0 and
-    column 0 are fixed, the (n-1)^2 other entries range over every value in
-    lexicographic row-major order, and a candidate is kept iff it associates.
-
-    This yields the tables the filter "0 is a two-sided identity" keeps from
-    all n^(n^2) full tables, in the same order, from n^((n-1)^2) candidates.
-    """
+    """All monoid tables of exactly this order: every full table is a
+    candidate, kept iff element 0 is an identity and the table associates."""
     n = order
-    m = n - 1
-    for inner in iproduct(range(n), repeat=m * m):
-        table = [range(n)]
-        table += [(i,) + inner[(i - 1) * m : i * m] for i in range(1, n)]
+    for flat in iproduct(range(n), repeat=n * n):
+        table = [flat[i * n : (i + 1) * n] for i in range(n)]
         try:
             yield FiniteMonoid(table)
-        except NotAssociative:
+        except (NoIdentity, NotAssociative, IndexOutOfRange):
             continue
 
 

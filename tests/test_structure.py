@@ -4,14 +4,13 @@ the property battery gives the flags and witnesses of oracles.naive_battery,
 and neither runs a triple loop on a group."""
 
 import random
-from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factorbench as fb
 from factorbench.core import FiniteMonoid
-from factorbench.corpus import corpus_members, small_monoids
+from factorbench.corpus import corpus_members
 from factorbench.errors import NotAssociative
 from oracles import associativity_triples, naive_battery
 from test_random_monoids import INSTANCES
@@ -169,13 +168,3 @@ def test_no_triple_loop_on_a_group(monkeypatch):
     assert rep.group and rep.acyclic and rep.cancellative
     assert counter[0] <= 10 * n * n  # a triple scan takes at least n^3 = 110592
 
-
-def test_small_monoids_match_filtered_full_enumeration():
-    for n in range(1, 4):
-        expected = []
-        for flat in product(range(n), repeat=n * n):
-            table = [flat[i * n : (i + 1) * n] for i in range(n)]
-            if all(table[0][x] == x == table[x][0] for x in range(n)):
-                if not associativity_triples(table):
-                    expected.append(tuple(table))
-        assert [H.table for H in small_monoids(n)] == expected, n
