@@ -6,6 +6,7 @@ import sys
 import time
 
 from factorbench.corpus import corpus_members, scan_member
+from factorbench.errors import FactorbenchError
 
 
 def main() -> int:
@@ -16,7 +17,12 @@ def main() -> int:
 
     start = time.time()
     total_violations = 0
-    for name, H in corpus_members(args.max_order):
+    try:
+        members = corpus_members(args.max_order)
+    except FactorbenchError as exc:
+        print(f"run_corpus: {exc}", file=sys.stderr)
+        return 1
+    for name, H in members:
         violations = scan_member(name, H, args.horizon)
         total_violations += len(violations)
         verdict = "ok" if not violations else f"{len(violations)} VIOLATIONS"

@@ -255,6 +255,11 @@ def _cmd_present(ns):
 def _cmd_ints(ns):
     limit = ns.limit
     prime_bound = ns.prime_bound
+    primes = primes_up_to(prime_bound)
+    if primes and primes[-1] > limit:
+        raise FactorbenchError(
+            f"--prime-bound {prime_bound} admits the prime {primes[-1]}, above --limit {limit}"
+        )
     S = IntegerFragment(limit)
     digest = _digest(f"ints:{limit}:{prime_bound}".encode())
 
@@ -262,7 +267,6 @@ def _cmd_ints(ns):
     classes = integer_class_table(limit)
     non_unique = [n for n in range(2, limit + 1) if len(classes[n]) != 1]
 
-    primes = [p for p in primes_up_to(prime_bound)]
     prime_failures = [p for p in primes if not is_prime(S, p)[0]]
     powerful_failures = [p for p in primes if not is_powerful(S, p)[0]]
     ok = not non_unique and not prime_failures and not powerful_failures

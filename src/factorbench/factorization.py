@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import le
 
 from .errors import (
     AlphabetMismatch,
@@ -127,29 +128,9 @@ def format_atom_word(S, w) -> str:
 # -- enumeration -----------------------------------------------------------
 
 
-def _depth_first(root, children, word_cap: int):
-    """Yield every node of the search tree from root, depth first, in the
-    order children(node) yields each node's children.  An explicit stack,
-    bounded by word_cap nodes, replaces recursion and its depth limit."""
-    stack: list = []  # per node on the current branch, its children left
-    node, nodes = root, 0
-    while True:
-        nodes += 1
-        if nodes > word_cap:
-            raise ExplosionGuard(f"more than {word_cap} prefixes examined")
-        yield node
-        stack.append(children(node))
-        node = next(stack[-1], None)
-        while node is None:
-            stack.pop()
-            if not stack:
-                return
-            node = next(stack[-1], None)
-
-
 def _letters(word) -> tuple:
-    # Searches keep words as nested (prefix, letter) pairs, () being empty, so
-    # held words share prefixes: memory grows with nodes, not with lengths.
+    # The enumeration keeps words as nested (prefix, letter) pairs, () being
+    # empty, so held words share prefixes: memory grows with nodes, not lengths.
     out = []
     while word:
         word, a = word
@@ -165,17 +146,21 @@ def enumerate_factorizations(S, x, max_len: int, word_cap: int = DEFAULT_WORD_CA
     admissible = S.completion_test(x)
     if not admissible(S.identity):
         return []
-
-    def children(node):
-        prod, length, word = node
+    # An explicit stack, bounded by word_cap nodes, replaces recursion and
+    # its depth limit; children go on in reverse so they come off in order.
+    found, stack, nodes = [], [(S.identity, 0, ())], 0
+    while stack:
+        prod, length, word = stack.pop()
+        nodes += 1
+        if nodes > word_cap:
+            raise ExplosionGuard(f"more than {word_cap} prefixes examined")
+        if prod == x:
+            found.append(word)
         if length < max_len:
-            for a in S.atoms:
+            for a in reversed(S.atoms):
                 nxt = S.mul(prod, a)
                 if admissible(nxt):
-                    yield nxt, length + 1, (word, a)
-
-    walk = _depth_first((S.identity, 0, ()), children, word_cap)
-    found = [word for prod, _, word in walk if prod == x]
+                    stack.append((nxt, length + 1, (word, a)))
     return [_letters(word) for word in found]
 
 
@@ -673,56 +658,54 @@ class AtomAnalysis:
 
     @cached_property
     def catalog(self) -> MinimalCatalog:
-        """Exact minimal classes for every element.
+        """Exact minimal classes for every element, by a search over
+        (element, class-count vector) states, one layer per word length.
 
-        Only words whose prefix-product sequence (identity included) has
-        pairwise distinct entries are generated: a repeated prefix product
-        means a loop can be excised, leaving a strictly shorter word that
-        dominates the original.  Hence all candidates have length <= |H| - 1
-        and the catalog is exact; the test suite checks this against a
-        pruning-free enumeration.
+        Each state of a layer, in the order the states were made, is extended
+        by every atom in atom order; the new state (y, k) is kept iff k is
+        new for y and no vector kept for y in an earlier layer is <= k (a
+        vector strictly below k has a smaller total).  This is exact:
+        - no minimal class is lost: a prefix of a minimal word is minimal
+          (a smaller prefix would give a smaller whole word), so by induction
+          on length every minimal state is made from a kept one, and kept;
+        - every kept state is minimal: a minimal vector strictly below k
+          would have been kept in an earlier layer and blocked k;
+        - the search ends: a minimal word repeats no prefix product (cutting
+          the loop between repeats leaves a smaller vector), so at most |H|
+          layers are non-empty; a loop edge x*a == x makes a state dominated
+          by the one it leaves, so it is skipped outright;
+        - each representative is the lexicographically first word of its
+          state: that word extends the first word of its prefix's state, and
+          layers are made, hence kept, in the order of their first words.
         """
         H = self.H
-        on_path = {H.identity}
-        counts = [0] * len(H.atom_classes)
+        letters = [H.atom_class_of[a] for a in H.atoms]
+        zero = (0,) * len(H.atom_classes)
+        kept: dict[object, dict[tuple[int, ...], tuple]] = {x: {} for x in H.elements()}
+        earlier: dict[object, list[tuple[int, ...]]] = {x: [] for x in H.elements()}
+        kept[H.identity][zero] = ()
+        layer = [(H.identity, zero)]
+        while layer:
+            for x, counts in layer:
+                earlier[x].append(counts)
+            made = []
+            for x, counts in layer:
+                for a, c, y in zip(H.atoms, letters, self.succ[x]):
+                    if y == x:
+                        continue
+                    k = counts[:c] + (counts[c] + 1,) + counts[c + 1 :]
+                    reps = kept[y]
+                    if k in reps or any(all(map(le, o, k)) for o in earlier[y]):
+                        continue
+                    reps[k] = kept[x][counts] + (a,)
+                    made.append((y, k))
+            layer = made
 
-        def children(node):
-            prod, word = node
-            for a, nxt in zip(H.atoms, self.succ[prod]):
-                if nxt not in on_path:
-                    on_path.add(nxt)
-                    counts[H.atom_class_of[a]] += 1
-                    yield nxt, (word, a)
-                    counts[H.atom_class_of[a]] -= 1
-                    on_path.discard(nxt)
-
-        # Per element, the first word met for each class-count vector.
-        candidates: dict[object, dict[tuple[int, ...], tuple]] = {
-            x: {} for x in H.elements()
-        }
-        for prod, word in _depth_first((H.identity, ()), children, DEFAULT_WORD_CAP):
-            reps = candidates[prod]
-            key = tuple(counts)
-            if key not in reps:
-                reps[key] = word
-
-        per_element: dict[object, tuple[MinimalClassEntry, ...]] = {}
-        kappa = 0
-        for x in H.elements():
-            keys = candidates[x]
-            minimal = [
-                k
-                for k in keys
-                if not any(
-                    other != k and all(o <= c for o, c in zip(other, k))
-                    for other in keys
-                )
-            ]
-            entries = tuple(
-                MinimalClassEntry(k, _letters(keys[k]))
-                for k in sorted(minimal, key=lambda k: (sum(k), k))
+        per_element = {
+            x: tuple(
+                MinimalClassEntry(k, reps[k]) for k in sorted(reps, key=lambda k: (sum(k), k))
             )
-            per_element[x] = entries
-            if entries:
-                kappa = max(kappa, max(sum(e.counts) for e in entries))
+            for x, reps in kept.items()
+        }
+        kappa = max(sum(k) for reps in kept.values() for k in reps)
         return MinimalCatalog(per_element, kappa)

@@ -473,6 +473,8 @@ def verify_ladder_properties(
     form.  Congruent pairs are manufactured by random rewriting so the
     premises actually fire.
     """
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     rng = Random(seed)
     canc_hits = canc_fail = 0
     acyc_hits = acyc_fail = 0

@@ -5,6 +5,7 @@ no shared code paths with the implementations under test.
 """
 
 from itertools import product
+from operator import le
 
 
 def associativity_triples(table):
@@ -195,6 +196,39 @@ def class_space_catalog(H):
             classes[el].add(counts)
         frontier = nxt
     return _min_filter(classes)
+
+
+def path_catalog(H):
+    """Minimal classes per element, with representatives, by a depth-first
+    walk over s -> s*a from the identity 0 (atoms in order) that never
+    revisits a product on its current path, since a repeated product marks a
+    loop whose excision leaves a dominating word.  The first word met for
+    each (element, class-count vector) is its representative; a pairwise
+    filter then drops every dominated vector.  Returns ({element: [(counts,
+    word), ...] by (length, counts)}, kappa) over the reachable elements."""
+    width = max(H.atom_class_of.values(), default=-1) + 1
+    first = {}
+
+    def walk(prod, word, counts, on_path):
+        first.setdefault(prod, {}).setdefault(tuple(counts), word)
+        for a in H.atoms:
+            nxt = H.mul(prod, a)
+            if nxt not in on_path:
+                counts[H.atom_class_of[a]] += 1
+                walk(nxt, word + (a,), counts, on_path | {nxt})
+                counts[H.atom_class_of[a]] -= 1
+
+    walk(0, (), [0] * width, {0})
+    catalog = {}
+    for el, reps in first.items():
+        kept = [
+            k
+            for k in reps
+            if not any(o != k and all(map(le, o, k)) for o in reps)
+        ]
+        catalog[el] = [(k, reps[k]) for k in sorted(kept, key=lambda k: (sum(k), k))]
+    kappa = max(sum(k) for entries in catalog.values() for k, _ in entries)
+    return catalog, kappa
 
 
 def _min_filter(classes):

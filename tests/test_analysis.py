@@ -1,14 +1,14 @@
-"""The atom-digraph analysis: it agrees with the per-atom and per-vertex
-searches it replaced (kept in oracles.py), and a request computes each of
-its quantities once."""
+"""The atom-digraph analysis: it agrees with the per-atom, per-vertex and
+simple-path searches it replaced (kept in oracles.py), and a request
+computes each of its quantities once."""
 
 import factorbench as fb
 from factorbench.cli import main
 from factorbench.core import FiniteMonoid
 from factorbench.corpus import corpus_members
 from factorbench.factorization import AtomAnalysis
-from factorbench.power import atomicity_criterion, kappa_report
-from oracles import potential_labeling, pumpable_vertex
+from factorbench.power import atomicity_criterion, build_reduced_power_monoid, kappa_report
+from oracles import path_catalog, potential_labeling, pumpable_vertex
 from test_random_monoids import INSTANCES
 
 
@@ -19,6 +19,24 @@ def test_potentials_and_cycles_match_oracles(sample_corpus):
         for a in H.atoms:
             assert fb.is_powerful(H, a) == potential_labeling(H, a), (name, a)
         assert fb.classify_arithmetic(H).witnesses.get("ff") == pumpable_vertex(H), name
+
+
+def test_catalog_matches_path_oracle(sample_corpus):
+    monoids = sample_corpus + corpus_members(3)
+    monoids += [(f"seed{seed}", H) for seed, H in INSTANCES]
+    monoids += [
+        ("P(N3)", build_reduced_power_monoid(fb.null_monoid(1)).result),
+        ("P(C4)", build_reduced_power_monoid(fb.cyclic(4)).result),
+        ("null(5)", fb.null_monoid(5)),
+    ]
+    for name, H in monoids:
+        cat = fb.minimal_catalog(H)
+        got = {
+            x: [(e.counts, e.representative) for e in cat.classes_of(x)]
+            for x in H.elements()
+            if cat.classes_of(x)
+        }
+        assert (got, cat.kappa) == path_catalog(H), name
 
 
 def test_analyze_searches_catalog_and_layers_once(monkeypatch, capsys):

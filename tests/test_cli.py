@@ -136,6 +136,15 @@ def test_ints_small(capsys):
     assert body["ok"] is True and body["non_unique"] == []
 
 
+def test_ints_prime_bound_above_limit(capsys):
+    for argv in (["--limit", "10", "--prime-bound", "100"], ["--limit", "1"]):
+        code, out, err = run_cli(capsys, "ints", *argv)
+        assert code == 1 and out == "", argv
+        assert "admits the prime 97, above --limit" in err, argv
+    code, out, _ = run_cli(capsys, "ints", "--limit", "8", "--prime-bound", "10")
+    assert code == 0 and json.loads(out)["report"]["primes_checked"] == 4
+
+
 def test_corpus_scan(capsys):
     code, out, _ = run_cli(capsys, "corpus", "--max-order", "2")
     assert code == 0
@@ -210,6 +219,12 @@ def test_error_paths(capsys):
     assert code == 1  # unknown element name
     code, _, err = run_cli(capsys, "present", "congruent", "x", "--family", "ladder")
     assert code == 1  # missing the second word
+    code, _, err = run_cli(capsys, "present", "verify", "--family", "ladder", "--samples", "-5")
+    assert code == 1 and "samples must be >= 0" in err
+    code, out, _ = run_cli(capsys, "present", "verify", "--family", "ladder", "--samples", "0")
+    assert code == 0 and json.loads(out)["report"]["samples"] == 0
+    code, out, err = run_cli(capsys, "corpus", "--max-order", "4")
+    assert code == 1 and out == "" and "4^16 candidate tables" in err
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
     assert exc.value.code != 0

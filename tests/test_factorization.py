@@ -289,6 +289,12 @@ def test_catalog_representatives_are_members(sample_corpus):
                 assert pi_eval(H, e.representative) == x, name
                 assert class_counts(H, e.representative) == e.counts, name
                 assert fb.is_minimal(H, e.representative), name
+                first = next(
+                    w
+                    for w in fb.enumerate_factorizations(H, x, sum(e.counts))
+                    if class_counts(H, w) == e.counts
+                )
+                assert e.representative == first, name
 
 
 def test_kappa_bound(sample_corpus):

@@ -25,15 +25,26 @@ def test_oracles_import_no_factorbench_module():
 
 @pytest.mark.parametrize(
     "script, args",
-    [("run_corpus.py", ["--max-order", "2"]), ("kappa_survey.py", ["--max-cyclic", "4"])],
+    [("run_corpus.py", ["--max-order", "2"]), ("kappa_survey.py", [])],
 )
 def test_script_exits_zero(script, args):
+    proc = _run_script(script, *args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_run_corpus_refuses_order_four():
+    proc = _run_script("run_corpus.py", "--max-order", "4")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("run_corpus: 4^16 candidate tables"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _run_script(script, *args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
