@@ -11,7 +11,6 @@ from .core import (
     divisor_closed_submonoid,
     full_transformation,
     gl,
-    instance,
     load_cayley,
     null_monoid,
     order_and_idempotents,
@@ -54,4 +53,3 @@ from .presentations import (
     sandwich_xyx,
     verify_ladder_properties,
 )
-from .words import Word, higman_scan, is_subword

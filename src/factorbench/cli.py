@@ -14,6 +14,7 @@ import sys
 
 from . import __version__
 from .core import (
+    ENUMERATION_CAP,
     FiniteMonoid,
     cyclic,
     full_transformation,
@@ -25,7 +26,7 @@ from .core import (
     two_element_with_zero,
 )
 from .corpus import scan_corpus
-from .errors import FactorbenchError
+from .errors import FactorbenchError, SizeLimit
 from .factorization import (
     IntegerFragment,
     classify_arithmetic,
@@ -47,12 +48,13 @@ from .presentations import (
     adian_check,
     bounded_length_set,
     congruent_bounded,
+    format_word_text,
     normal_form,
     parse_presentation,
+    parse_word_text,
     sample_psi_invariance,
     verify_ladder_properties,
 )
-from .words import format_word_text, parse_word_text
 
 
 def _digest(payload: bytes) -> str:
@@ -404,6 +406,12 @@ _HANDLERS = {
 def dispatch(ns) -> int:
     if ns.max_len < 0 or ns.budget <= 0 or ns.seed < 0:
         raise ValueError("bounds must be positive")
+    # These flags size an allocation before any budget applies.
+    for dest in ("max_len", "n", "limit", "prime_bound"):
+        value = getattr(ns, dest, None)
+        if value is not None and value > ENUMERATION_CAP:
+            flag = "--" + dest.replace("_", "-")
+            raise SizeLimit(f"{flag} {value} is above the cap {ENUMERATION_CAP}")
     code, digest, payload = _HANDLERS[ns.command](ns)
     report = {
         "version": __version__,

@@ -13,16 +13,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .errors import (
-    IndexOutOfRange,
-    NoIdentity,
-    NotAssociative,
-    SizeLimit,
-    UnknownKind,
-)
+from .errors import IndexOutOfRange, NoIdentity, NotAssociative, SizeLimit
 
 # Raw-enumeration instances (gl, full transformations) refuse above this
-# many candidate elements.
+# many candidate elements, and the CLI refuses size flags above it.
 ENUMERATION_CAP = 10**6
 
 # Built instances (cyclic, null_monoid, gl, direct_product) refuse an order
@@ -528,7 +522,7 @@ def direct_product(H: FiniteMonoid, K: FiniteMonoid) -> FiniteMonoid:
     return FiniteMonoid(table, names)
 
 
-# -- instance catalog ----------------------------------------------------
+# -- built instances -----------------------------------------------------
 
 
 def trivial() -> FiniteMonoid:
@@ -609,7 +603,9 @@ def gl(n: int, m: int) -> FiniteMonoid:
     """
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 and modulus >= 2")
-    if m ** (n * n) > ENUMERATION_CAP:
+    # m >= 2, so n*n above the cap's bit length already decides the
+    # comparison without computing a huge power.
+    if n * n > ENUMERATION_CAP.bit_length() or m ** (n * n) > ENUMERATION_CAP:
         raise SizeLimit(f"{m}^{n * n} candidate matrices exceed cap {ENUMERATION_CAP}")
     mats = []
     for flat in product(range(m), repeat=n * n):
@@ -634,25 +630,6 @@ def gl(n: int, m: int) -> FiniteMonoid:
         for a in mats
     )
     return FiniteMonoid(table, names)
-
-
-_CATALOG = {
-    "trivial": trivial,
-    "cyclic": cyclic,
-    "null_monoid": null_monoid,
-    "two_element_with_zero": two_element_with_zero,
-    "full_transformation": full_transformation,
-    "gl": gl,
-}
-
-
-def instance(kind: str, *params) -> FiniteMonoid:
-    """Build a catalog monoid by name; see _CATALOG for the kinds."""
-    try:
-        builder = _CATALOG[kind]
-    except KeyError:
-        raise UnknownKind(f"unknown instance kind {kind!r}") from None
-    return builder(*params)
 
 
 # -- Cayley table files ---------------------------------------------------

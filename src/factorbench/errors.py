@@ -19,22 +19,12 @@ class IndexOutOfRange(FactorbenchError):
     pass
 
 
-class UnknownKind(FactorbenchError):
-    pass
-
-
 class SizeLimit(FactorbenchError):
     pass
 
 
 class AlphabetMismatch(FactorbenchError):
     pass
-
-
-class BudgetExhausted(FactorbenchError):
-    def __init__(self, message, progress=None):
-        self.progress = progress
-        super().__init__(message)
 
 
 class ExplosionGuard(FactorbenchError):

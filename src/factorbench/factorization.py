@@ -212,11 +212,6 @@ class LengthSet:
             threshold -= 1
         return cls(tuple(sorted(fin)), threshold, period, frozenset(res))
 
-    @classmethod
-    def from_finite(cls, values) -> "LengthSet":
-        ordered = tuple(sorted(set(values)))
-        return cls(ordered, ordered[-1] + 1 if ordered else 0, 0, frozenset())
-
     def __contains__(self, k: int) -> bool:
         if k < self.threshold:
             return k in self.finite_part

@@ -24,12 +24,35 @@ from math import gcd
 from random import Random
 
 from .errors import AlphabetMismatch, EmptyRelationSide, ParseError, UnknownGenerator
-from .words import parse_word_text
 
 GenWord = tuple[str, ...]
 
 DEFAULT_SEARCH_BUDGET = 20_000
 DEFAULT_LADDER_RUNGS = 12
+
+
+# -- word literals -----------------------------------------------------------
+#
+# Letters are symbol names joined by "*"; "e" denotes the empty word.
+
+EMPTY_LITERAL = "e"
+
+
+def parse_word_text(text: str) -> tuple[str, ...]:
+    text = text.strip()
+    if text == EMPTY_LITERAL:
+        return ()
+    if not text:
+        raise ValueError("empty word literal; use 'e' for the empty word")
+    parts = tuple(p.strip() for p in text.split("*"))
+    if any(not p for p in parts):
+        raise ValueError(f"malformed word literal {text!r}")
+    return parts
+
+
+def format_word_text(symbols) -> str:
+    symbols = tuple(symbols)
+    return "*".join(symbols) if symbols else EMPTY_LITERAL
 
 
 @dataclass(frozen=True)
@@ -42,7 +65,7 @@ class Presentation:
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
             raise ParseError("duplicate generator")
-        if "e" in self.generators:
+        if EMPTY_LITERAL in self.generators:
             raise ParseError("'e' is reserved for the empty word")
         for lhs, rhs in self.relations:
             self.check_word(lhs + rhs)
@@ -397,6 +420,11 @@ def psi(word) -> PsiDecomposition:
     return PsiDecomposition(len(matches), tuple(blocks), tuple(fillers))
 
 
+def _contract(s: str, i: int, j: int) -> str:
+    """Replace the occurrence y x y^m z w at s[i:j] by x y^(m-1) z."""
+    return s[:i] + "x" + "y" * (j - i - 5) + "z" + s[j:]
+
+
 def normal_form(word) -> GenWord:
     """Contract y x y^m z w -> x y^(m-1) z at the leftmost position until no
     occurrence remains; the result is the unique normal form of the word's
@@ -406,8 +434,7 @@ def normal_form(word) -> GenWord:
         m = _CONTRACT.search(s)
         if m is None:
             return tuple(s)
-        inner = (m.end() - m.start()) - 4
-        s = s[: m.start()] + "x" + "y" * (inner - 1) + "z" + s[m.end() :]
+        s = _contract(s, m.start(), m.end())
 
 
 def _random_ladder_word(rng: Random, max_len: int) -> GenWord:
@@ -426,8 +453,7 @@ def _random_congruent(rng: Random, word: GenWord, steps: int) -> GenWord:
             k = j - i - 2
             s = s[:i] + "yx" + "y" * (k + 1) + "zw" + s[j:]
         else:
-            m = j - i - 4
-            s = s[:i] + "x" + "y" * (m - 1) + "z" + s[j:]
+            s = _contract(s, i, j)
     return tuple(s)
 
 
@@ -438,8 +464,7 @@ def _random_order_normal_form(rng: Random, word: GenWord) -> GenWord:
         if not ms:
             return tuple(s)
         m = rng.choice(ms)
-        inner = (m.end() - m.start()) - 4
-        s = s[: m.start()] + "x" + "y" * (inner - 1) + "z" + s[m.end() :]
+        s = _contract(s, m.start(), m.end())
 
 
 @dataclass(frozen=True)

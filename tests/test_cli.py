@@ -225,6 +225,20 @@ def test_error_paths(capsys):
     assert code == 0 and json.loads(out)["report"]["samples"] == 0
     code, out, err = run_cli(capsys, "corpus", "--max-order", "4")
     assert code == 1 and out == "" and "4^16 candidate tables" in err
+    # size flags that would allocate before any budget applies are refused
+    for argv in (
+        ["present", "adian", "--family", "sandwich-power", "--n", "1000000000000"],
+        ["ints", "--limit", "10000000000000"],
+        ["ints", "--limit", "10", "--prime-bound", "10000000000000"],
+        ["present", "lengths", "x*z", "--family", "ladder", "--max-len", "1000000000"],
+        ["analyze", "--gl", "1000000", "2"],
+        ["present", "verify", "--family", "ladder", "--max-len", "1000000000000"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("factorbench: ") and err.count("\n") == 1, argv
+    code, _, err = run_cli(capsys, "ints", "--limit", "1000001")
+    assert code == 1 and "--limit 1000001 is above the cap 1000000" in err
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
     assert exc.value.code != 0
@@ -277,3 +291,103 @@ def test_analyze_on_arbitrary_json_ends_in_report_or_error(doc):
             code = main(["analyze", "--in", path])
     assert code in (0, 1)
     assert (code == 0) == (out.getvalue() != "")
+
+
+# -- fuzz over present, ints and factorize ----------------------------------
+
+# Each case carries at most one fault: a size flag set to -1, 0 or 10**12,
+# a budget or sample count below range, an odd word literal, or a broken
+# presentation file.  Everything else is drawn in range, so most cases get
+# past the checks and into the work.
+SIZE_FLAGS = {"--max-len": st.integers(0, 8), "--n": st.integers(1, 4)}
+ODD_VALUES = {
+    "--max-len": st.sampled_from([-1, 10**12]),
+    "--n": st.sampled_from([-1, 0, 10**12]),
+    "--budget": st.sampled_from([-1, 0]),
+    "--samples": st.just(-1),
+}
+ODD_WORDS = st.sampled_from(["", "a**b", "*", "q", "x*q", "e*x"])
+ODD_GENS = st.sampled_from([["e"], ["x", "x"], []])
+FAMILY_GENS = {"sandwich-power": ["x", "y"], "sandwich-xyx": ["x", "y"], "ladder": ["w", "x", "y", "z"]}
+ACTION_WORDS = {"adian": 0, "nf": 1, "congruent": 2, "lengths": 1, "verify": 0}
+
+
+def words_over(gens):
+    return st.just("e") | st.lists(st.sampled_from(gens), min_size=1, max_size=6).map("*".join)
+
+
+@st.composite
+def present_cases(draw):
+    fault = draw(st.sampled_from([None, "word", "gens", "rel", "source", *ODD_VALUES]))
+    action = draw(st.sampled_from(list(ACTION_WORDS)))
+    source = draw(st.sampled_from([*FAMILY_GENS, "file"]))
+    if source == "file":
+        gens = draw(st.lists(st.sampled_from(["x", "y", "a1", "b2"]), min_size=1, max_size=3, unique=True))
+        rels = draw(st.lists(st.tuples(words_over(gens), words_over(gens)), max_size=3))
+        if fault == "gens":
+            gens = gens + draw(ODD_GENS)
+        if fault == "rel":
+            rels.append((draw(ODD_WORDS), "e"))
+        text = "; ".join(["gens: " + " ".join(gens)] + [f"rel: {lhs} = {rhs}" for lhs, rhs in rels])
+        argv = ["present", action, "--in", "FILE"]
+    else:
+        gens, text = FAMILY_GENS[source], None
+        argv = ["present", action, "--family", source]
+    words = draw(st.lists(words_over(gens), min_size=ACTION_WORDS[action], max_size=ACTION_WORDS[action] + 1))
+    if fault == "word":
+        words.insert(draw(st.integers(0, len(words))), draw(ODD_WORDS))
+    argv[2:2] = words
+    if fault == "source":
+        argv, text = argv[: 2 + len(words)], None
+    values = {flag: draw(strategy) for flag, strategy in SIZE_FLAGS.items()}
+    values["--budget"] = draw(st.integers(1, 300))
+    values["--samples"] = draw(st.integers(0, 50))
+    if fault in ODD_VALUES:
+        values[fault] = draw(ODD_VALUES[fault])
+    for flag, value in values.items():
+        argv += [flag, str(value)]
+    return argv + ["--seed", str(draw(st.integers(0, 9)))], text
+
+
+@st.composite
+def other_cases(draw):
+    odd = st.sampled_from([-1, 0, 10**12])
+    if draw(st.booleans()):
+        sizes = st.integers(1, 60) | odd
+        argv = ["ints", "--limit", str(draw(sizes)), "--prime-bound", str(draw(sizes))]
+    else:
+        sizes = st.integers(1, 4) | odd  # null_monoid(k) has k**len words of each length
+        element = draw(st.sampled_from(["0", "1", "a", "g", "g^2", "zz", ""]))
+        flag = draw(st.sampled_from(["--cyclic", "--null"]))
+        argv = ["factorize", element, flag, str(draw(sizes)), "--max-len", str(draw(sizes))]
+    return argv, None
+
+
+# Argument texts argparse must reject with its usage error, in one case of four.
+USAGE_ERRORS = st.sampled_from([[]] * 9 + [["--max-len", "1.5"], ["--budget", "x"], ["--bogus"]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(present_cases() | other_cases(), USAGE_ERRORS)
+def test_other_commands_end_in_report_or_error(case, usage_error):
+    argv, text = case
+    argv = argv + usage_error
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            path = os.path.join(tmp, "pres.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv[argv.index("FILE")] = path
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2 and usage_error
+                code = None
+    if code is None:
+        assert out.getvalue() == ""
+    else:
+        assert code in (0, 1, 2)
+        assert (code in (0, 2)) == (out.getvalue() != "")
+        assert (code == 1) == err.getvalue().startswith("factorbench: ")

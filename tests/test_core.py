@@ -4,13 +4,7 @@ import pytest
 
 import factorbench as fb
 from factorbench.core import FiniteMonoid, dump_cayley, monoid_from_dict
-from factorbench.errors import (
-    IndexOutOfRange,
-    NoIdentity,
-    NotAssociative,
-    SizeLimit,
-    UnknownKind,
-)
+from factorbench.errors import IndexOutOfRange, NoIdentity, NotAssociative, SizeLimit
 from oracles import (
     associativity_triples,
     brute_atoms,
@@ -53,20 +47,18 @@ def test_out_of_range_rejected():
 
 
 def test_instance_catalog():
-    c3 = fb.instance("cyclic", 3)
+    c3 = fb.cyclic(3)
     assert c3.size == 3
     assert fb.property_battery(c3).group
 
-    t4 = fb.instance("null_monoid", 2)
+    t4 = fb.null_monoid(2)
     assert t4.size == 4
     assert associativity_triples(t4.table) == []
 
-    with pytest.raises(UnknownKind):
-        fb.instance("nope")
     with pytest.raises(SizeLimit):
-        fb.instance("full_transformation", 4)
+        fb.full_transformation(4)
     with pytest.raises(SizeLimit):
-        fb.instance("gl", 3, 5)
+        fb.gl(3, 5)
 
 
 def test_built_orders_are_capped():

@@ -116,7 +116,7 @@ def test_length_set_canonicalization():
     # empty residues mean a finite set
     ls3 = LengthSet.build([5], threshold=7, period=3, residues=set())
     assert ls3.period == 0 and ls3.finite_part == (5,)
-    assert LengthSet.from_finite([]).is_empty()
+    assert LengthSet.build([], 0, 0, ()).is_empty()
 
 
 @given(

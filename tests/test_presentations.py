@@ -14,10 +14,12 @@ from factorbench.presentations import (
     bounded_length_set,
     congruent_bounded,
     conserved_functionals,
+    format_word_text,
     ladder_presentation,
     letter_counts,
     normal_form,
     parse_presentation,
+    parse_word_text,
     psi,
     sample_psi_invariance,
     sandwich_power,
@@ -32,6 +34,17 @@ ladder_words = st.text(alphabet="wxyz", max_size=14).map(tuple)
 
 
 # -- parsing -------------------------------------------------------------------
+
+
+def test_word_literals():
+    assert parse_word_text("a*a*b") == ("a", "a", "b")
+    assert parse_word_text("e") == ()
+    assert format_word_text(()) == "e"
+    assert format_word_text(("x", "y")) == "x*y"
+    with pytest.raises(ValueError):
+        parse_word_text("a**b")
+    with pytest.raises(ValueError):
+        parse_word_text("")
 
 
 def test_parse_basic():

@@ -1,13 +1,17 @@
-"""Repository checks: the oracles stay independent of the package, and the
-scripts run end to end."""
+"""Repository checks: the oracles stay independent of the package, the
+scripts run end to end, and every command line in the README runs."""
 
 import ast
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from factorbench.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,6 +41,22 @@ def test_run_corpus_refuses_order_four():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stderr.startswith("run_corpus: 4^16 candidate tables"), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_command_lines_exit_zero(tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    cayley = re.search(r"### Cayley table files\n\n```json\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "monoid.json"
+    path.write_text(cayley, encoding="utf-8")
+    lines = [line.split("#")[0] for line in block.splitlines()]
+    assert lines
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "factorbench", line
+        argv = [str(path) if arg == "monoid.json" else arg for arg in argv[1:]]
+        assert main(argv) == 0, line
+        capsys.readouterr()
 
 
 def _run_script(script, *args):
