@@ -32,7 +32,6 @@ from .factorization import (
     classify_arithmetic,
     enumerate_factorizations,
     factorial_battery,
-    format_atom_word,
     integer_class_table,
     is_powerful,
     is_prime,
@@ -43,6 +42,7 @@ from .factorization import (
 )
 from .power import atomicity_criterion, build_reduced_power_monoid, kappa_report
 from .presentations import (
+    DEFAULT_SEARCH_BUDGET,
     FAMILY_BUILDERS,
     CongruenceStatus,
     adian_check,
@@ -73,12 +73,12 @@ def _load_monoid(ns) -> tuple[FiniteMonoid, str]:
     if ns.gl is not None:
         n, m = ns.gl
         return gl(n, m), _digest(f"gl:{n},{m}".encode())
-    if getattr(ns, "full_transformation", None) is not None:
+    if ns.full_transformation is not None:
         k = ns.full_transformation
         return full_transformation(k), _digest(f"full_transformation:{k}".encode())
-    if getattr(ns, "two_zero", False):
+    if ns.two_zero:
         return two_element_with_zero(), _digest(b"two_element_with_zero")
-    if getattr(ns, "trivial", False):
+    if ns.trivial:
         return trivial(), _digest(b"trivial")
     raise FactorbenchError("no monoid given: use --in or an instance flag")
 
@@ -89,7 +89,7 @@ def _element_payload(H: FiniteMonoid, x: int) -> dict:
         "minimal_classes": [
             {
                 "counts": list(e.counts),
-                "representative": format_atom_word(H, e.representative),
+                "representative": format_word_text(H.names[a] for a in e.representative),
             }
             for e in minimal_catalog(H).classes_of(x)
         ],
@@ -149,7 +149,7 @@ def _cmd_factorize(ns):
     return 0, digest, {
         "element": ns.element,
         "max_len": ns.max_len,
-        "factorizations": [format_atom_word(H, w) for w in words],
+        "factorizations": [format_word_text(H.names[a] for a in w) for w in words],
         **_element_payload(H, x),
     }
 
@@ -190,8 +190,11 @@ def _cmd_present(ns):
     P, digest = _resolve_presentation(ns)
     action = ns.action
     needed = {"adian": 0, "nf": 1, "congruent": 2, "lengths": 1, "verify": 0}[action]
-    if len(ns.words) < needed:
-        raise FactorbenchError(f"action {action!r} needs {needed} word argument(s)")
+    if len(ns.words) != needed:
+        got = len(ns.words)
+        raise FactorbenchError(f"action {action!r} takes {needed} word argument(s), not {got}")
+    if action in ("nf", "verify") and P.family != "ladder":
+        raise FactorbenchError(f"{action} is only decided for the ladder family")
     payload: dict = {"family": P.family or "custom", "action": action}
     if action == "adian":
         chk = adian_check(P)
@@ -203,8 +206,6 @@ def _cmd_present(ns):
             }
         )
     elif action == "nf":
-        if P.family != "ladder":
-            raise FactorbenchError("nf is only decided for the ladder family")
         word = parse_word_text(ns.words[0])
         payload["input"] = format_word_text(word)
         payload["normal_form"] = format_word_text(normal_form(word))
@@ -230,7 +231,7 @@ def _cmd_present(ns):
                 "generators_proven_atoms": probe.generators_proven_atoms,
             }
         )
-    elif action == "verify":
+    else:  # verify
         rep = verify_ladder_properties(ns.samples, ns.max_len, ns.seed)
         checked, failures = sample_psi_invariance(
             max(ns.samples // 10, 1), ns.max_len, ns.seed
@@ -249,8 +250,6 @@ def _cmd_present(ns):
             }
         )
         return (0 if payload["ok"] else 2), digest, payload
-    else:
-        raise FactorbenchError(f"unknown action {action!r}")
     return 0, digest, payload
 
 
@@ -343,10 +342,11 @@ def _add_monoid_flags(sub):
     sub.add_argument("--trivial", dest="trivial", action="store_true")
 
 
-def _add_common_flags(sub):
+def _add_max_len_flag(sub):
     sub.add_argument("--max-len", dest="max_len", type=int, default=6, metavar="K")
-    sub.add_argument("--budget", type=int, default=20_000, metavar="K")
-    sub.add_argument("--seed", type=int, default=0, metavar="K")
+
+
+def _add_output_flags(sub):
     sub.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
     sub.add_argument("--out", metavar="FILE")
 
@@ -361,16 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="property battery, classifiers, catalog, kappa")
     _add_monoid_flags(p)
-    _add_common_flags(p)
+    _add_output_flags(p)
 
     p = subs.add_parser("factorize", help="factorizations of one element")
     p.add_argument("element", help="element name")
     _add_monoid_flags(p)
-    _add_common_flags(p)
+    _add_max_len_flag(p)
+    _add_output_flags(p)
 
     p = subs.add_parser("powerset", help="reduced power monoid report")
     _add_monoid_flags(p)
-    _add_common_flags(p)
+    _add_output_flags(p)
 
     p = subs.add_parser("present", help="presentation tools")
     p.add_argument("action", choices=("adian", "nf", "congruent", "lengths", "verify"))
@@ -379,16 +380,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=tuple(FAMILY_BUILDERS))
     p.add_argument("--n", type=int, default=2, help="parameter for sandwich-power")
     p.add_argument("--samples", type=int, default=1000, help="samples for verify")
-    _add_common_flags(p)
+    _add_max_len_flag(p)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET, metavar="K")
+    p.add_argument("--seed", type=int, default=0, metavar="K")
+    _add_output_flags(p)
 
     p = subs.add_parser("ints", help="integer-fragment unique factorization demo")
     p.add_argument("--limit", type=int, default=10_000)
     p.add_argument("--prime-bound", dest="prime_bound", type=int, default=100)
-    _add_common_flags(p)
+    _add_output_flags(p)
 
     p = subs.add_parser("corpus", help="run the exhaustive small-monoid scan")
     p.add_argument("--max-order", dest="max_order", type=int, default=3)
-    _add_common_flags(p)
+    _add_output_flags(p)
 
     return parser
 
@@ -404,10 +408,12 @@ _HANDLERS = {
 
 
 def dispatch(ns) -> int:
-    if ns.max_len < 0 or ns.budget <= 0 or ns.seed < 0:
+    # Each command declares only the flags it reads.
+    lowest = {"max_len": 0, "budget": 1, "seed": 0}
+    if any(getattr(ns, dest, low) < low for dest, low in lowest.items()):
         raise ValueError("bounds must be positive")
-    # These flags size an allocation before any budget applies.
-    for dest in ("max_len", "n", "limit", "prime_bound"):
+    # These flags size an allocation or a loop before any budget applies.
+    for dest in ("max_len", "n", "limit", "prime_bound", "samples"):
         value = getattr(ns, dest, None)
         if value is not None and value > ENUMERATION_CAP:
             flag = "--" + dest.replace("_", "-")

@@ -19,9 +19,9 @@ from .errors import IndexOutOfRange, NoIdentity, NotAssociative, SizeLimit
 # many candidate elements, and the CLI refuses size flags above it.
 ENUMERATION_CAP = 10**6
 
-# Built instances (cyclic, null_monoid, gl, direct_product) refuse an order
-# above this before allocating their table of order**2 entries; gl(2, 5) has
-# order 480.
+# Built instances (cyclic, null_monoid, gl, direct_product, reduced power
+# monoids) refuse an order above this before allocating their table of
+# order**2 entries; gl(2, 5) has order 480.
 ORDER_CAP = 1024
 
 
@@ -212,9 +212,6 @@ class FiniteMonoid:
     def associated(self, x: int, y: int) -> bool:
         """x and y differ by unit factors on both sides."""
         return self.association.class_of[x] == self.association.class_of[y]
-
-    def name_of(self, x: int) -> str:
-        return self.names[x]
 
     def index_of(self, name: str) -> int:
         try:

@@ -65,9 +65,6 @@ class IntegerFragment:
     def divides(self, x: int, y: int) -> bool:
         return y % x == 0
 
-    def name_of(self, x: int) -> str:
-        return str(x)
-
     def completion_test(self, x: int):
         return lambda s: x % s == 0
 
@@ -119,10 +116,6 @@ def class_counts(S, w) -> tuple[int, ...]:
     for a in check_atom_word(S, w):
         counts[S.atom_class_of[a]] += 1
     return tuple(counts)
-
-
-def format_atom_word(S, w) -> str:
-    return "*".join(S.name_of(a) for a in w) if w else "e"
 
 
 # -- enumeration -----------------------------------------------------------

@@ -6,11 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteMonoid
-from .errors import BoundViolation, CrossCheckMismatch, SizeLimit
+from .core import FiniteMonoid, _check_order
+from .errors import BoundViolation, CrossCheckMismatch
 from .factorization import classify_arithmetic, minimal_catalog
-
-DEFAULT_BASE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -30,8 +28,7 @@ class PowerMonoidBuild:
     @classmethod
     def of(cls, K: FiniteMonoid) -> "PowerMonoidBuild":
         n = K.size
-        if n > DEFAULT_BASE_CAP:
-            raise SizeLimit(f"base of size {n} exceeds cap {DEFAULT_BASE_CAP}")
+        _check_order(1 << (n - 1), f"the reduced power monoid of a base of size {n}")
         masks = [m | 1 for m in range(0, 1 << n, 2)]
         pos = {m: i for i, m in enumerate(masks)}
 

@@ -156,7 +156,7 @@ def test_reports_are_byte_identical(tmp_path, capsys, n3):
     fb.save_cayley(n3, path)
     runs = []
     for _ in range(2):
-        code, out, _ = run_cli(capsys, "analyze", "--in", str(path), "--seed", "0")
+        code, out, _ = run_cli(capsys, "analyze", "--in", str(path))
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
@@ -208,7 +208,7 @@ def test_text_format_renders_same_data(capsys):
     assert "group: True" in out and "kappa: 0" in out
 
 
-def test_error_paths(capsys):
+def test_error_paths(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "--in", "/nonexistent.json")
     assert code == 1 and "factorbench" in err
     code, _, err = run_cli(capsys, "analyze")
@@ -219,6 +219,14 @@ def test_error_paths(capsys):
     assert code == 1  # unknown element name
     code, _, err = run_cli(capsys, "present", "congruent", "x", "--family", "ladder")
     assert code == 1  # missing the second word
+    code, out, err = run_cli(capsys, "present", "nf", "x*z", "y*y", "--family", "ladder")
+    assert code == 1 and out == "" and "takes 1 word argument(s), not 2" in err
+    custom = tmp_path / "pres.txt"
+    custom.write_text("gens: x y; rel: x*x = y*x*x*y")
+    for source in (["--family", "sandwich-power"], ["--in", str(custom)]):
+        code, out, err = run_cli(capsys, "present", "verify", *source)
+        assert code == 1 and out == "", source
+        assert "verify is only decided for the ladder family" in err, source
     code, _, err = run_cli(capsys, "present", "verify", "--family", "ladder", "--samples", "-5")
     assert code == 1 and "samples must be >= 0" in err
     code, out, _ = run_cli(capsys, "present", "verify", "--family", "ladder", "--samples", "0")
@@ -233,6 +241,7 @@ def test_error_paths(capsys):
         ["present", "lengths", "x*z", "--family", "ladder", "--max-len", "1000000000"],
         ["analyze", "--gl", "1000000", "2"],
         ["present", "verify", "--family", "ladder", "--max-len", "1000000000000"],
+        ["present", "verify", "--family", "ladder", "--samples", "1000001"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "", argv
@@ -242,6 +251,22 @@ def test_error_paths(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
     assert exc.value.code != 0
+
+
+def test_commands_refuse_flags_they_do_not_read(capsys):
+    unread = {
+        ("analyze", "--cyclic", "3"): ("--max-len", "--budget", "--seed"),
+        ("powerset", "--cyclic", "3"): ("--max-len", "--budget", "--seed"),
+        ("ints", "--limit", "10", "--prime-bound", "5"): ("--max-len", "--budget", "--seed"),
+        ("corpus", "--max-order", "1"): ("--max-len", "--budget", "--seed"),
+        ("factorize", "0", "--null", "1"): ("--budget", "--seed"),
+    }
+    for argv, flags in unread.items():
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "1"])
+            assert exc.value.code == 2, (argv, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

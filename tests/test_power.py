@@ -46,8 +46,9 @@ def test_power_monoids_are_reduced():
 
 
 def test_size_cap():
-    with pytest.raises(SizeLimit):
-        build_reduced_power_monoid(fb.gl(2, 3))  # 48 elements
+    for K in (fb.gl(2, 3), fb.cyclic(12)):  # 48 and 12 elements
+        with pytest.raises(SizeLimit):
+            build_reduced_power_monoid(K)
 
 
 def test_atomicity_criterion_cyclic():

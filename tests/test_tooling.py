@@ -1,6 +1,8 @@
 """Repository checks: the oracles stay independent of the package, the
-scripts run end to end, and every command line in the README runs."""
+scripts run end to end, every command line in the README runs, and the
+README lists exactly the flags each command declares."""
 
+import argparse
 import ast
 import os
 import re
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from factorbench.cli import main
+from factorbench.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,6 +59,21 @@ def test_readme_command_lines_exit_zero(tmp_path, capsys):
         argv = [str(path) if arg == "monoid.json" else arg for arg in argv[1:]]
         assert main(argv) == 0, line
         capsys.readouterr()
+
+
+def test_readme_lists_the_flags_of_each_command():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"### Flags by command\n(.*?)\n###", readme, re.S).group(1)
+    documented = {
+        match.group(1): set(re.findall(r"`(--[a-z-]+)", match.group(2)))
+        for match in re.finditer(r"^- `(\w+)[^`]*`: (.*?)(?=^- |^$)", section, re.S | re.M)
+    }
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == declared
 
 
 def _run_script(script, *args):
