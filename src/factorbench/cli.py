@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .core import (
@@ -52,7 +53,6 @@ from .presentations import (
     normal_form,
     parse_presentation,
     parse_word_text,
-    sample_psi_invariance,
     verify_ladder_properties,
 )
 
@@ -233,23 +233,8 @@ def _cmd_present(ns):
         )
     else:  # verify
         rep = verify_ladder_properties(ns.samples, ns.max_len, ns.seed)
-        checked, failures = sample_psi_invariance(
-            max(ns.samples // 10, 1), ns.max_len, ns.seed
-        )
-        payload.update(
-            {
-                "samples": rep.samples,
-                "cancellation_hits": rep.cancellation_hits,
-                "cancellation_failures": rep.cancellation_failures,
-                "acyclicity_hits": rep.acyclicity_hits,
-                "acyclicity_failures": rep.acyclicity_failures,
-                "confluence_failures": rep.confluence_failures,
-                "psi_pairs_checked": checked,
-                "psi_failures": failures,
-                "ok": rep.ok and failures == 0,
-            }
-        )
-        return (0 if payload["ok"] else 2), digest, payload
+        payload.update(asdict(rep), ok=rep.ok)
+        return (0 if rep.ok else 2), digest, payload
     return 0, digest, payload
 
 
@@ -333,13 +318,14 @@ def _emit(report: dict, ns) -> None:
 
 
 def _add_monoid_flags(sub):
-    sub.add_argument("--in", dest="infile", metavar="FILE", help="Cayley table JSON")
-    sub.add_argument("--cyclic", type=int, metavar="N")
-    sub.add_argument("--null", type=int, metavar="K")
-    sub.add_argument("--gl", type=int, nargs=2, metavar=("N", "M"))
-    sub.add_argument("--full-transformation", dest="full_transformation", type=int, metavar="M")
-    sub.add_argument("--two-zero", dest="two_zero", action="store_true")
-    sub.add_argument("--trivial", dest="trivial", action="store_true")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--in", dest="infile", metavar="FILE", help="Cayley table JSON")
+    source.add_argument("--cyclic", type=int, metavar="N")
+    source.add_argument("--null", type=int, metavar="K")
+    source.add_argument("--gl", type=int, nargs=2, metavar=("N", "M"))
+    source.add_argument("--full-transformation", dest="full_transformation", type=int, metavar="M")
+    source.add_argument("--two-zero", dest="two_zero", action="store_true")
+    source.add_argument("--trivial", dest="trivial", action="store_true")
 
 
 def _add_max_len_flag(sub):
@@ -376,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("present", help="presentation tools")
     p.add_argument("action", choices=("adian", "nf", "congruent", "lengths", "verify"))
     p.add_argument("words", nargs="*", help="word literals for the action")
-    p.add_argument("--in", dest="infile", metavar="FILE", help="presentation text")
-    p.add_argument("--family", choices=tuple(FAMILY_BUILDERS))
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--in", dest="infile", metavar="FILE", help="presentation text")
+    source.add_argument("--family", choices=tuple(FAMILY_BUILDERS))
     p.add_argument("--n", type=int, default=2, help="parameter for sandwich-power")
     p.add_argument("--samples", type=int, default=1000, help="samples for verify")
     _add_max_len_flag(p)
@@ -409,9 +396,11 @@ _HANDLERS = {
 
 def dispatch(ns) -> int:
     # Each command declares only the flags it reads.
-    lowest = {"max_len": 0, "budget": 1, "seed": 0}
-    if any(getattr(ns, dest, low) < low for dest, low in lowest.items()):
-        raise ValueError("bounds must be positive")
+    lowest = {"max_len": 0, "budget": 1, "seed": 0, "max_order": 0}
+    for dest, low in lowest.items():
+        value = getattr(ns, dest, low)
+        if value < low:
+            raise ValueError(f"--{dest.replace('_', '-')} {value} is below {low}")
     # These flags size an allocation or a loop before any budget applies.
     for dest in ("max_len", "n", "limit", "prime_bound", "samples"):
         value = getattr(ns, dest, None)

@@ -4,6 +4,7 @@ Everything here is deliberately naive: exhaustive enumeration, no pruning,
 no shared code paths with the implementations under test.
 """
 
+import re
 from itertools import product
 from operator import le
 
@@ -329,3 +330,14 @@ def psi_dp(s):
             if j < n and s[j] == "z":
                 best[i] = max(best[i], 1 + best[j + 1])
     return best[0]
+
+
+def leftmost_normal_form(s):
+    """Ladder normal form of the string s: contract y x y^m z w -> x y^(m-1) z
+    at the leftmost occurrence, searching again from position 0 each time."""
+    while True:
+        m = re.search(r"yxy+zw", s)
+        if m is None:
+            return s
+        i, j = m.start(), m.end()
+        s = s[:i] + "x" + "y" * (j - i - 5) + "z" + s[j:]

@@ -233,6 +233,12 @@ def test_error_paths(tmp_path, capsys):
     assert code == 0 and json.loads(out)["report"]["samples"] == 0
     code, out, err = run_cli(capsys, "corpus", "--max-order", "4")
     assert code == 1 and out == "" and "4^16 candidate tables" in err
+    code, out, err = run_cli(capsys, "corpus", "--max-order", "-1")
+    assert code == 1 and out == "" and "--max-order -1 is below 0" in err
+    code, out, err = run_cli(
+        capsys, "present", "congruent", "x", "y", "--family", "sandwich-power", "--budget", "0"
+    )
+    assert code == 1 and out == "" and "--budget 0 is below 1" in err
     # size flags that would allocate before any budget applies are refused
     for argv in (
         ["present", "adian", "--family", "sandwich-power", "--n", "1000000000000"],
@@ -251,6 +257,22 @@ def test_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
     assert exc.value.code != 0
+
+
+def test_conflicting_sources_are_usage_errors(tmp_path, capsys):
+    custom = tmp_path / "pres.txt"
+    custom.write_text("gens: x y; rel: x*x = y*x*x*y")
+    for argv in (
+        ["analyze", "--cyclic", "2", "--null", "1"],
+        ["factorize", "0", "--two-zero", "--trivial"],
+        ["powerset", "--in", str(custom), "--gl", "1", "2"],
+        ["present", "adian", "--in", str(custom), "--family", "ladder"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err, argv
 
 
 def test_commands_refuse_flags_they_do_not_read(capsys):

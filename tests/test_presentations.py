@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,14 +23,13 @@ from factorbench.presentations import (
     parse_presentation,
     parse_word_text,
     psi,
-    sample_psi_invariance,
     sandwich_power,
     sandwich_xyx,
     validate_chain,
     verify_ladder_properties,
     _rewrites,
 )
-from oracles import multigraph_has_cycle, psi_dp
+from oracles import leftmost_normal_form, multigraph_has_cycle, psi_dp
 
 ladder_words = st.text(alphabet="wxyz", max_size=14).map(tuple)
 
@@ -182,30 +183,20 @@ def test_chain_steps_are_single_rewrites():
 
 
 def test_psi_examples():
-    assert psi(("x", "z")).ell == 1
-    assert psi(()).ell == 0
-    assert psi(("x", "y", "z", "x", "z")).ell == 2
-    with pytest.raises(AlphabetMismatch):
-        psi(("q",))
+    assert psi(("x", "z")) == 1
+    assert psi(()) == 0
+    assert psi(("x", "y", "z", "x", "z")) == 2
+    # letters are checked one by one: "yz" and "" are not letters of w,x,y,z
+    for word in (("q",), ("x", "yz"), ("x", "")):
+        with pytest.raises(AlphabetMismatch):
+            psi(word)
+        with pytest.raises(AlphabetMismatch):
+            normal_form(word)
 
 
 @given(ladder_words)
 def test_psi_matches_dp_oracle(word):
-    assert psi(word).ell == psi_dp("".join(word))
-
-
-@given(ladder_words)
-def test_psi_decomposition_shape(word):
-    dec = psi(word)
-    assert dec.reassemble() == word
-    assert len(dec.fillers) == dec.ell + 1
-    for filler in dec.fillers:
-        assert psi(filler).ell == 0
-    if dec.ell:
-        for filler in dec.fillers[:-1]:
-            assert not (filler and filler[-1] == "y")
-        for filler in dec.fillers[1:]:
-            assert not (filler and filler[0] == "w")
+    assert psi(word) == psi_dp("".join(word))
 
 
 def test_normal_form_examples():
@@ -249,10 +240,31 @@ def test_normal_form_reachable_by_rewrites(word):
         current = nxt
 
 
+@st.composite
+def expanded_ladder_words(draw):
+    """A ladder word whose x y^k z factors are expanded, one at a time, into
+    y x y^(k+1) z w, so that contractions nest."""
+    pieces = st.sampled_from(["w", "x", "y", "z", "xz", "xyz"])
+    s = "".join(draw(st.lists(pieces, max_size=10)))
+    for _ in range(draw(st.integers(0, 8))):
+        factors = [(m.start(), m.end()) for m in re.finditer(r"xy*z", s)]
+        if not factors:
+            break
+        i, j = draw(st.sampled_from(factors))
+        s = s[:i] + "yxy" + s[i + 1 : j] + "w" + s[j:]
+    return s
+
+
+@given(expanded_ladder_words())
+def test_normal_form_matches_leftmost_oracle(s):
+    assert normal_form(s) == tuple(leftmost_normal_form(s))
+
+
 def test_verification_report_clean():
     rep = verify_ladder_properties(samples=2000, max_len=10, seed=7)
     assert rep.ok
     assert rep.cancellation_hits > 0 and rep.acyclicity_hits > 0
+    assert rep.psi_pairs_checked == 200 and rep.psi_failures == 0
 
 
 def test_verification_handles_specific_instances():
@@ -262,11 +274,6 @@ def test_verification_handles_specific_instances():
     # word is its own normal form and no acyclicity violation is recorded
     assert normal_form(("y", "x", "z", "w")) == ("y", "x", "z", "w")
     assert normal_form(("y", "x", "z", "w")) != normal_form(("x", "z"))
-
-
-def test_psi_invariance_sampler():
-    checked, failures = sample_psi_invariance(1000, 12, seed=3)
-    assert checked == 1000 and failures == 0
 
 
 # -- bounded length sets ------------------------------------------------------------------
