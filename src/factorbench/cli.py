@@ -8,6 +8,7 @@ data.  Every report embeds the tool version and a digest of its input.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -337,6 +338,7 @@ def _add_output_flags(sub):
     sub.add_argument("--out", metavar="FILE")
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorbench",

@@ -2,7 +2,9 @@
 the cycle-free presentation check, and an exact normal-form engine for the
 built-in "ladder" family.
 
-Generator words are tuples of generator names.  Three families ship built in:
+Generator words are tuples of generator names; the rewriting search encodes
+them as strings of one character per letter and decodes its results.  Three
+families ship built in:
 
   sandwich-power(n): <x, y | x^n = y * x^n * y>
   sandwich-xyx:      <x, y | x*y*x = y * x*y*x * y>
@@ -20,7 +22,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from random import Random
 
 from .errors import AlphabetMismatch, EmptyRelationSide, ParseError, UnknownGenerator
@@ -68,15 +71,24 @@ class Presentation:
         if EMPTY_LITERAL in self.generators:
             raise ParseError("'e' is reserved for the empty word")
         for lhs, rhs in self.relations:
-            self.check_word(lhs + rhs)
+            self.encode(lhs + rhs)
 
-    def check_word(self, word) -> GenWord:
-        word = tuple(word)
-        declared = set(self.generators)
-        for g in word:
-            if g not in declared:
-                raise UnknownGenerator(f"undeclared generator {g!r}")
-        return word
+    def encode(self, word) -> str:
+        """The word as a string holding chr(i) for its i-th generator."""
+        code = {g: chr(i) for i, g in enumerate(self.generators)}
+        try:
+            return "".join([code[g] for g in word])
+        except KeyError as exc:
+            raise UnknownGenerator(f"undeclared generator {exc.args[0]!r}") from None
+
+    def decode(self, s: str) -> GenWord:
+        return tuple(map(self.generators.__getitem__, map(ord, s)))
+
+    @cached_property
+    def rules(self) -> tuple[tuple[str, str], ...]:
+        """Encoded rewrite rules: each relation forwards, then backwards."""
+        sides = [(self.encode(lhs), self.encode(rhs)) for lhs, rhs in self.relations]
+        return tuple(rule for a, b in sides for rule in ((a, b), (b, a)))
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -161,11 +173,9 @@ FAMILY_BUILDERS = {
 
 
 def _generators_proven_atoms(P: Presentation) -> bool:
-    if P.family == "ladder" or P.family == "sandwich-xyx":
-        return True
-    if P.family == "sandwich-power":
-        return P.family_param >= 2
-    return False
+    return P.family in ("ladder", "sandwich-xyx") or (
+        P.family == "sandwich-power" and P.family_param >= 2
+    )
 
 
 # -- left/right graphs and the cycle-free check -------------------------------
@@ -250,14 +260,9 @@ def conserved_functionals(P: Presentation) -> tuple[tuple[int, ...], ...]:
         vec[fc] = Fraction(1)
         for pr, pc in enumerate(pivots):
             vec[pc] = -mat[pr][fc]
-        den = 1
-        for v in vec:
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = [int(v * den) for v in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints] if g else ints
+        den = lcm(*(v.denominator for v in vec))
+        g = gcd(*(int(v * den) for v in vec))  # >= 1: vec[fc] is 1
+        ints = [int(v * den) // g for v in vec]
         lead = next((v for v in ints if v), 1)
         if lead < 0:
             ints = [-v for v in ints]
@@ -281,13 +286,15 @@ class CongruenceResult:
     functional: tuple[int, ...] | None = None
 
 
-def _rewrites(word: GenWord, relations):
-    for lhs, rhs in relations:
-        for a, b in ((lhs, rhs), (rhs, lhs)):
-            la = len(a)
-            for i in range(len(word) - la + 1):
-                if word[i : i + la] == a:
-                    yield word[:i] + b + word[i + la :]
+def _rewrites(s: str, rules):
+    """Every word one rule away from the encoded word s: rule by rule, then
+    position by position, overlapping occurrences included."""
+    for a, b in rules:
+        la = len(a)
+        i = s.find(a)
+        while i >= 0:
+            yield s[:i] + b + s[i + la :]
+            i = s.find(a, i + 1)
 
 
 def congruent_bounded(
@@ -297,8 +304,8 @@ def congruent_bounded(
     a definite NO from any conserved letter-count functional separating u and
     v; otherwise unknown once the expansion budget runs out.  On success the
     rewriting chain from u to v is returned."""
-    u = P.check_word(u)
-    v = P.check_word(v)
+    u, v = tuple(u), tuple(v)
+    su, sv = P.encode(u), P.encode(v)
     cu, cv = letter_counts(P, u), letter_counts(P, v)
     for f in conserved_functionals(P):
         if sum(a * b for a, b in zip(f, cu)) != sum(a * b for a, b in zip(f, cv)):
@@ -306,51 +313,46 @@ def congruent_bounded(
     if u == v:
         return CongruenceResult(CongruenceStatus.EQUIVALENT, chain=(u,))
 
-    parents: list[dict[GenWord, GenWord | None]] = [{u: None}, {v: None}]
-    frontiers: list[list[GenWord]] = [[u], [v]]
+    parents: list[dict[str, str | None]] = [{su: None}, {sv: None}]
+    frontiers: list[list[str]] = [[su], [sv]]
     expansions = 0
 
-    def stitch(meet):
-        # meet is present in both parent maps; walk back to both roots.
+    def walk(side, w):
         path = []
-        w = meet
         while w is not None:
             path.append(w)
-            w = parents[0][w]
-        path.reverse()  # u .. meet
-        w = parents[1][meet]
-        while w is not None:
-            path.append(w)
-            w = parents[1][w]
-        return tuple(path)
+            w = parents[side][w]
+        return path
 
     while frontiers[0] and frontiers[1]:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         mine, other = parents[side], parents[1 - side]
-        fresh: list[GenWord] = []
+        fresh: list[str] = []
         for w in frontiers[side]:
             expansions += 1
             if expansions > budget:
                 return CongruenceResult(CongruenceStatus.UNKNOWN)
-            for nxt in _rewrites(w, P.relations):
+            for nxt in _rewrites(w, P.rules):
                 if nxt in mine:
                     continue
                 mine[nxt] = w
                 if nxt in other:
-                    return CongruenceResult(
-                        CongruenceStatus.EQUIVALENT, chain=stitch(nxt)
-                    )
+                    # nxt is in both parent maps: walk back to both roots
+                    path = walk(0, nxt)[::-1] + walk(1, parents[1][nxt])
+                    return CongruenceResult(CongruenceStatus.EQUIVALENT, tuple(map(P.decode, path)))
                 fresh.append(nxt)
         frontiers[side] = fresh
     return CongruenceResult(CongruenceStatus.UNKNOWN)
 
 
 def validate_chain(P: Presentation, chain) -> bool:
-    """Every consecutive pair must differ by one relation application."""
-    for a, b in zip(chain, chain[1:]):
-        if b not in set(_rewrites(a, P.relations)):
-            return False
-    return True
+    """Every word must be over the generators and every consecutive pair must
+    differ by one relation application."""
+    try:
+        words = [P.encode(w) for w in chain]
+    except UnknownGenerator:
+        return False
+    return all(b in set(_rewrites(a, P.rules)) for a, b in zip(words, words[1:]))
 
 
 # -- the ladder engine -----------------------------------------------------------
@@ -539,32 +541,28 @@ def bounded_length_set(
     lengths |nf| + 3k, and is a singleton otherwise.  Other presentations are
     explored by breadth-first rewriting under the budget.
     """
-    target = P.check_word(target)
+    start = P.encode(target)
     if P.family == "ladder":
-        nf = normal_form(target)
-        base = len(nf)
-        if base > max_len:
-            return LengthProbe((), True, True)
-        if psi(nf) == 0:
-            return LengthProbe((base,), True, True)
-        return LengthProbe(tuple(range(base, max_len + 1, 3)), True, True)
+        nf = normal_form(P.decode(start))
+        if psi(nf):
+            return LengthProbe(tuple(range(len(nf), max_len + 1, 3)), True, True)
+        return LengthProbe((len(nf),) if len(nf) <= max_len else (), True, True)
 
-    stretch = max((abs(len(l) - len(r)) for l, r in P.relations), default=0)
-    cap = max_len + stretch
-    seen = {target}
-    frontier = [target]
-    lengths = {len(target)} if len(target) <= max_len else set()
+    # a word longer than cap cannot rewrite back to max_len in one step
+    cap = max_len + max((abs(len(l) - len(r)) for l, r in P.relations), default=0)
+    seen = {start}
+    frontier = [start]
+    lengths = {len(start)} if len(start) <= max_len else set()
     complete = True
     expansions = 0
-    while frontier:
+    while frontier and expansions <= budget:
         fresh = []
         for w in frontier:
             expansions += 1
             if expansions > budget:
-                return LengthProbe(
-                    tuple(sorted(lengths)), False, _generators_proven_atoms(P)
-                )
-            for nxt in _rewrites(w, P.relations):
+                complete = False
+                break
+            for nxt in _rewrites(w, P.rules):
                 if nxt in seen:
                     continue
                 seen.add(nxt)

@@ -341,3 +341,89 @@ def leftmost_normal_form(s):
             return s
         i, j = m.start(), m.end()
         s = s[:i] + "x" + "y" * (j - i - 5) + "z" + s[j:]
+
+
+def tuple_rewrites(word, relations):
+    """Every tuple word one relation application away, relation by relation,
+    forwards then backwards, position by position, comparing a slice at every
+    position."""
+    for lhs, rhs in relations:
+        for a, b in ((lhs, rhs), (rhs, lhs)):
+            la = len(a)
+            for i in range(len(word) - la + 1):
+                if word[i : i + la] == a:
+                    yield word[:i] + b + word[i + la :]
+
+
+def tuple_chain_valid(relations, chain):
+    """Every consecutive pair of tuple words differs by one rewrite."""
+    return all(b in set(tuple_rewrites(a, relations)) for a, b in zip(chain, chain[1:]))
+
+
+def tuple_congruence_search(relations, u, v, budget):
+    """Bidirectional breadth-first search on tuple words, growing the smaller
+    frontier and counting one expansion per word taken from it:
+    ("equivalent", chain) on a meet, ("unknown", None) once the budget runs
+    out or a frontier empties.  No letter-count refutation."""
+    if u == v:
+        return "equivalent", (u,)
+    parents = [{u: None}, {v: None}]
+    frontiers = [[u], [v]]
+    expansions = 0
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, other = parents[side], parents[1 - side]
+        fresh = []
+        for w in frontiers[side]:
+            expansions += 1
+            if expansions > budget:
+                return "unknown", None
+            for nxt in tuple_rewrites(w, relations):
+                if nxt in mine:
+                    continue
+                mine[nxt] = w
+                if nxt in other:
+                    path, x = [], nxt
+                    while x is not None:
+                        path.append(x)
+                        x = parents[0][x]
+                    path.reverse()
+                    x = parents[1][nxt]
+                    while x is not None:
+                        path.append(x)
+                        x = parents[1][x]
+                    return "equivalent", tuple(path)
+                fresh.append(nxt)
+        frontiers[side] = fresh
+    return "unknown", None
+
+
+def tuple_length_probe(relations, target, max_len, budget):
+    """Breadth-first rewriting closure of a tuple word: (lengths up to
+    max_len, complete).  Words longer than max_len plus the largest length
+    change of a relation are not expanded, and complete is cleared when one
+    is met or the budget runs out."""
+    cap = max_len + max((abs(len(l) - len(r)) for l, r in relations), default=0)
+    seen = {target}
+    frontier = [target]
+    lengths = {len(target)} if len(target) <= max_len else set()
+    complete = True
+    expansions = 0
+    while frontier:
+        fresh = []
+        for w in frontier:
+            expansions += 1
+            if expansions > budget:
+                return tuple(sorted(lengths)), False
+            for nxt in tuple_rewrites(w, relations):
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                if len(nxt) <= max_len:
+                    lengths.add(len(nxt))
+                if len(nxt) <= cap:
+                    fresh.append(nxt)
+                else:
+                    complete = False
+        frontier = fresh
+    return tuple(sorted(lengths)), complete

@@ -185,6 +185,27 @@ def test_reports_identical_across_processes(tmp_path, n3):
     assert outputs[0] == outputs[1]
 
 
+def test_usage_errors_leave_the_shared_parser_as_built(tmp_path, capsys):
+    # the parser is built once per process; after usage errors (exit 2) a
+    # valid command must give the bytes a fresh process gives
+    argv = ["present", "lengths", "x*x", "--family", "sandwich-power", "--max-len", "8"]
+    for bad in (
+        ["present", "lengths", "x*x", "--budget", "many"],
+        ["present", "lengths", "x*x", "--family", "ladder", "--in", "p.txt"],
+        ["present", "--max-len", "8"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    fresh = subprocess.run(
+        [sys.executable, "-m", "factorbench.cli", *argv], capture_output=True, check=True
+    )
+    assert out.read_bytes() == fresh.stdout
+
+
 def test_deep_factorize_stops_at_the_word_cap(tmp_path):
     # --max-len far beyond the interpreter's recursion limit: the search must
     # end in the typed word-cap error, not in a RecursionError traceback

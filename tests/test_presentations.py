@@ -1,4 +1,5 @@
 import re
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,7 +30,15 @@ from factorbench.presentations import (
     verify_ladder_properties,
     _rewrites,
 )
-from oracles import leftmost_normal_form, multigraph_has_cycle, psi_dp
+from oracles import (
+    leftmost_normal_form,
+    multigraph_has_cycle,
+    psi_dp,
+    tuple_chain_valid,
+    tuple_congruence_search,
+    tuple_length_probe,
+    tuple_rewrites,
+)
 
 ladder_words = st.text(alphabet="wxyz", max_size=14).map(tuple)
 
@@ -176,7 +185,133 @@ def test_chain_steps_are_single_rewrites():
     res = congruent_bounded(P, ("x", "y", "x"), ("y", "x", "y", "x", "y"))
     assert res.status is CongruenceStatus.EQUIVALENT
     for a, b in zip(res.chain, res.chain[1:]):
-        assert b in set(_rewrites(a, P.relations))
+        assert b in set(tuple_rewrites(a, P.relations))
+
+
+# -- the encoded search against the tuple oracles ---------------------------------
+
+ORACLE_PRESENTATIONS = (
+    sandwich_power(1),
+    sandwich_power(2),
+    sandwich_power(3),
+    sandwich_xyx(),
+    ladder_presentation(),
+    # an empty relation side and generator names longer than one letter
+    parse_presentation("gens: a bb c; rel: e = a*bb; rel: c = c*c"),
+)
+
+
+def _random_word(rng, P, lo, hi):
+    return tuple(rng.choice(P.generators) for _ in range(rng.randint(lo, hi)))
+
+
+def _seeded_word(rng, P, pad):
+    """A random word with a relation side inside it, so rewriting applies."""
+    side = rng.choice(rng.choice(P.relations))
+    return _random_word(rng, P, 0, pad) + side + _random_word(rng, P, 0, pad)
+
+
+def _random_steps(rng, P, word, steps):
+    for _ in range(steps):
+        options = list(tuple_rewrites(word, P.relations))
+        if not options:
+            break
+        word = rng.choice(options)
+    return word
+
+
+def _search_pairs(rng):
+    """Congruent pairs made by random rewriting on every presentation, and
+    parity pairs on the sandwich families: one y added outside the relation
+    side keeps every conserved functional but flips the parity of the y
+    count, which every relation changes by 2."""
+    pairs = []
+    for P in ORACLE_PRESENTATIONS:
+        for _ in range(4):
+            u = _seeded_word(rng, P, 3)
+            pairs.append((P, u, _random_steps(rng, P, u, rng.randint(1, 5))))
+    for P in ORACLE_PRESENTATIONS[:4]:
+        for _ in range(3):
+            head, tail = _random_word(rng, P, 0, 3), _random_word(rng, P, 0, 3)
+            u = head + P.relations[0][0] + tail
+            pairs.append((P, u, head + ("y",) + P.relations[0][0] + tail))
+    return pairs
+
+
+def test_rewrites_keep_the_oracle_order():
+    rng = Random(9)
+    found = 0
+    for P in ORACLE_PRESENTATIONS:
+        for _ in range(400):
+            word = _seeded_word(rng, P, 4) if rng.random() < 0.5 else _random_word(rng, P, 0, 12)
+            expected = list(tuple_rewrites(word, P.relations))
+            assert [P.decode(r) for r in _rewrites(P.encode(word), P.rules)] == expected
+            found += len(expected)
+    assert found > 2400
+
+
+def test_search_spends_the_oracle_expansions():
+    statuses = set()
+    for P, u, v in _search_pairs(Random(11)):
+        for budget in range(1, 61):
+            res = congruent_bounded(P, u, v, budget)
+            status, chain = tuple_congruence_search(P.relations, u, v, budget)
+            assert (res.status.value, res.chain) == (status, chain), (P, u, v, budget)
+            statuses.add(status)
+    assert statuses == {"equivalent", "unknown"}
+
+
+def test_length_probe_spends_the_oracle_expansions():
+    rng = Random(13)
+    flags = set()
+    lad = ladder_presentation()
+    generic = (
+        *(P for P in ORACLE_PRESENTATIONS if P.family != "ladder"),
+        Presentation(lad.generators, lad.relations),  # no family: no exact branch
+        parse_presentation("gens: a b c; rel: a*b = b*a; rel: b*c = c*b"),  # finite classes
+    )
+    for P in generic:
+        for _ in range(4):
+            target = _seeded_word(rng, P, 2)
+            max_len = len(target) + rng.randint(2, 6)
+            for budget in range(1, 61):
+                probe = bounded_length_set(P, target, max_len, budget)
+                expected = tuple_length_probe(P.relations, target, max_len, budget)
+                assert (probe.lengths, probe.complete) == expected, (P, target, budget)
+                flags.add(probe.complete)
+    assert flags == {True, False}
+
+
+def test_validate_chain_keeps_its_answers():
+    rng = Random(17)
+    answers = set()
+    for P, u, _ in _search_pairs(rng):
+        chain = [u]
+        for _ in range(rng.randint(1, 4)):
+            chain.append(_random_steps(rng, P, chain[-1], 1))
+        for candidate in (chain, chain[::-1], chain[::2], chain + [u]):
+            expected = tuple_chain_valid(P.relations, candidate)
+            assert validate_chain(P, candidate) == expected
+            answers.add(expected)
+    assert answers == {True, False}
+    # every word must be over the generators, even where no rewrite touches it
+    P = sandwich_power(1)
+    assert validate_chain(P, [("x",), ("y", "x", "y")])
+    for chain in ([("x",), ("q",)], [("q", "x"), ("q", "y", "x", "y")], [("q",)]):
+        assert not validate_chain(P, chain)
+
+
+def test_encoding_roundtrip_and_unknown_letters():
+    P = parse_presentation("gens: a bb c; rel: e = a*bb; rel: c = c*c")
+    word = ("bb", "a", "c", "bb")
+    assert P.decode(P.encode(word)) == word
+    assert len(P.encode(word)) == 4
+    with pytest.raises(UnknownGenerator, match="undeclared generator 'b'"):
+        P.encode(("a", "b"))
+    with pytest.raises(UnknownGenerator, match="undeclared generator 'q'"):
+        congruent_bounded(P, ("a",), ("q", "r"))
+    with pytest.raises(UnknownGenerator, match="undeclared generator 'q'"):
+        bounded_length_set(P, ("q",), 4)
 
 
 # -- the ladder engine -----------------------------------------------------------------
@@ -229,7 +364,7 @@ def test_normal_form_reachable_by_rewrites(word):
         nxt = next(
             (
                 r
-                for r in _rewrites(current, lad.relations)
+                for r in tuple_rewrites(current, lad.relations)
                 if len(r) < len(current) and normal_form(r) == normal_form(word)
             ),
             None,
@@ -290,7 +425,7 @@ def test_ladder_lengths_exact():
     while frontier:
         fresh = []
         for w in frontier:
-            for r in _rewrites(w, lad.relations):
+            for r in tuple_rewrites(w, lad.relations):
                 if r not in seen and len(r) <= 12:
                     seen.add(r)
                     fresh.append(r)
