@@ -2,9 +2,11 @@
 """Compare two commits on the benchmark in alternated pairs and write BENCH_<n>.json.
 
 Each side is exported with `git archive` into its own directory, so both run
-from committed files only.  For every (workload, seed) of the plan, the two
-sides run `perfbench/run.py --workload W --seed S --seconds 25 --trace 0` back
-to back; the side that runs first alternates from one pair to the next.
+from committed files only, and the lines of each side's src/factorbench/*.py
+go into the report next to the numbers.  For every (workload, seed) of the
+plan, the two sides run `perfbench/run.py --workload W --seed S --seconds 25
+--trace 0` back to back; the side that runs first alternates from one pair to
+the next.
 
 A metric of a workload moves ('better' or 'worse') when the medians of the two
 sides differ by more than the interquartile range of the parent's runs and at
@@ -93,6 +95,11 @@ def export(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
+def src_lines(tree: Path) -> int:
+    """The lines of src/factorbench/*.py in a tree, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "factorbench").glob("*.py"))
+
+
 def run_side(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
@@ -130,6 +137,7 @@ def main() -> int:
         trees = {side: Path(tmp) / side for side in revs}
         for side, tree in trees.items():
             export(revs[side], tree)
+        sizes = {side: src_lines(tree) for side, tree in trees.items()}
         for workload, seeds in plan:
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -155,6 +163,7 @@ def main() -> int:
         "protocol": protocol,
         "parent": revs["parent"],
         "change": git("log", "-1", "--format=%s (%H)", revs["change"]).decode().strip(),
+        "src_lines": sizes,
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
     }

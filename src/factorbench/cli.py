@@ -12,7 +12,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import __version__
 from .core import (
@@ -97,39 +97,21 @@ def _element_payload(H: FiniteMonoid, x: int) -> dict:
     }
 
 
+def _flags(report) -> dict:
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "witnesses"}
+
+
 def _monoid_payload(H: FiniteMonoid) -> dict:
     rep = property_battery(H)
-    flags = classify_arithmetic(H)
-    fact = factorial_battery(H)
     kappa, union_lengths = kappa_and_dichotomy(H)
     witness_names = {
         key: [H.names[i] for i in w] for key, w in rep.witnesses.items()
     }
     return {
         "size": H.size,
-        "properties": {
-            "acyclic": rep.acyclic,
-            "unit_cancellative": rep.unit_cancellative,
-            "cancellative": rep.cancellative,
-            "normalizing": rep.normalizing,
-            "commutative": rep.commutative,
-            "reduced": rep.reduced,
-            "group": rep.group,
-            "witnesses": witness_names,
-        },
-        "classifiers": {
-            "atomic": flags.atomic,
-            "bf": flags.bf,
-            "ff": flags.ff,
-            "hf": flags.hf,
-        },
-        "factoriality": {
-            "factorial": fact.factorial,
-            "minimally_factorial": fact.minimally_factorial,
-            "hmf": fact.hmf,
-            "bmf": fact.bmf,
-            "fmf": fact.fmf,
-        },
+        "properties": {**_flags(rep), "witnesses": witness_names},
+        "classifiers": _flags(classify_arithmetic(H)),
+        "factoriality": _flags(factorial_battery(H)),
         "atoms": [H.names[a] for a in H.atoms],
         "units": [H.names[u] for u in sorted(H.units)],
         "kappa": kappa,
@@ -190,10 +172,6 @@ def _resolve_presentation(ns):
 def _cmd_present(ns):
     P, digest = _resolve_presentation(ns)
     action = ns.action
-    needed = {"adian": 0, "nf": 1, "congruent": 2, "lengths": 1, "verify": 0}[action]
-    if len(ns.words) != needed:
-        got = len(ns.words)
-        raise FactorbenchError(f"action {action!r} takes {needed} word argument(s), not {got}")
     if action in ("nf", "verify") and P.family != "ladder":
         raise FactorbenchError(f"{action} is only decided for the ladder family")
     payload: dict = {"family": P.family or "custom", "action": action}
@@ -329,10 +307,6 @@ def _add_monoid_flags(sub):
     source.add_argument("--trivial", dest="trivial", action="store_true")
 
 
-def _add_max_len_flag(sub):
-    sub.add_argument("--max-len", dest="max_len", type=int, default=6, metavar="K")
-
-
 def _add_output_flags(sub):
     sub.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
     sub.add_argument("--out", metavar="FILE")
@@ -346,6 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
+    int_flags = {
+        "--max-len": {"type": int, "default": 6, "metavar": "K"},
+        "--budget": {"type": int, "default": DEFAULT_SEARCH_BUDGET, "metavar": "K"},
+        "--seed": {"type": int, "default": 0, "metavar": "K"},
+        "--samples": {"type": int, "default": 1000, "help": "samples for verify"},
+    }
 
     p = subs.add_parser("analyze", help="property battery, classifiers, catalog, kappa")
     _add_monoid_flags(p)
@@ -354,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("factorize", help="factorizations of one element")
     p.add_argument("element", help="element name")
     _add_monoid_flags(p)
-    _add_max_len_flag(p)
+    p.add_argument("--max-len", **int_flags["--max-len"])
     _add_output_flags(p)
 
     p = subs.add_parser("powerset", help="reduced power monoid report")
@@ -362,17 +342,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = subs.add_parser("present", help="presentation tools")
-    p.add_argument("action", choices=("adian", "nf", "congruent", "lengths", "verify"))
-    p.add_argument("words", nargs="*", help="word literals for the action")
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--in", dest="infile", metavar="FILE", help="presentation text")
-    source.add_argument("--family", choices=tuple(FAMILY_BUILDERS))
-    p.add_argument("--n", type=int, default=2, help="parameter for sandwich-power")
-    p.add_argument("--samples", type=int, default=1000, help="samples for verify")
-    _add_max_len_flag(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET, metavar="K")
-    p.add_argument("--seed", type=int, default=0, metavar="K")
-    _add_output_flags(p)
+    actions = p.add_subparsers(dest="action", required=True)
+    # Each action: the number of word literals it takes and the flags it reads.
+    for action, words, reads in (
+        ("adian", 0, ()),
+        ("nf", 1, ()),
+        ("congruent", 2, ("--budget",)),
+        ("lengths", 1, ("--max-len", "--budget")),
+        ("verify", 0, ("--samples", "--max-len", "--seed")),
+    ):
+        a = actions.add_parser(action)
+        if words:
+            a.add_argument("words", nargs=words, metavar="WORD")
+        source = a.add_mutually_exclusive_group()
+        source.add_argument("--in", dest="infile", metavar="FILE", help="presentation text")
+        source.add_argument("--family", choices=tuple(FAMILY_BUILDERS))
+        a.add_argument("--n", type=int, default=2, help="parameter for sandwich-power")
+        for flag in reads:
+            a.add_argument(flag, **int_flags[flag])
+        _add_output_flags(a)
 
     p = subs.add_parser("ints", help="integer-fragment unique factorization demo")
     p.add_argument("--limit", type=int, default=10_000)

@@ -362,6 +362,8 @@ def is_prime(S, p) -> tuple[bool, tuple | None]:
     """Exhaustive primality scan: p is prime iff it is a non-unit and divides
     a product only by dividing a factor.  Returns (flag, counterexample); the
     counterexample is a pair (x, y) with p | x*y but p dividing neither."""
+    if p not in S.elements():
+        raise ValueError(f"{p!r} is not an element")
     if S.is_unit(p):
         return False, None
     for x, y in S.pairs():

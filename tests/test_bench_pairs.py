@@ -1,4 +1,5 @@
-"""The verdict rule of scripts/bench_pairs.py on synthetic paired runs."""
+"""The verdict rule of scripts/bench_pairs.py on synthetic paired runs, and
+its count of source lines."""
 
 import importlib.util
 from pathlib import Path
@@ -65,3 +66,18 @@ def test_summary_pairs_runs_by_seed():
 def test_plan_parsing():
     assert bench_pairs.parse_plan("rewrite:61-70") == ("rewrite", list(range(61, 71)))
     assert bench_pairs.parse_plan("sweep:5") == ("sweep", [5])
+
+
+def test_src_lines_counts_the_package_modules_of_each_tree(tmp_path):
+    sizes = {}
+    for side, modules in (("parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}),
+                          ("change", {"a.py": "x = 1\n"})):
+        package = tmp_path / side / "src" / "factorbench"
+        package.mkdir(parents=True)
+        for name, text in modules.items():
+            (package / name).write_text(text, encoding="utf-8")
+        (package / "notes.txt").write_text("not\ncounted\n", encoding="utf-8")
+        (tmp_path / side / "scripts").mkdir()
+        (tmp_path / side / "scripts" / "tool.py").write_text("not counted\n", encoding="utf-8")
+        sizes[side] = bench_pairs.src_lines(tmp_path / side)
+    assert sizes == {"parent": 3, "change": 1}

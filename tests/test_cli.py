@@ -193,6 +193,7 @@ def test_usage_errors_leave_the_shared_parser_as_built(tmp_path, capsys):
         ["present", "lengths", "x*x", "--budget", "many"],
         ["present", "lengths", "x*x", "--family", "ladder", "--in", "p.txt"],
         ["present", "--max-len", "8"],
+        ["present", "lengths", "x*x", "--seed", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(bad)
@@ -238,10 +239,15 @@ def test_error_paths(tmp_path, capsys):
     assert code == 1 and "above the cap" in err
     code, _, err = run_cli(capsys, "factorize", "zz", "--null", "1")
     assert code == 1  # unknown element name
-    code, _, err = run_cli(capsys, "present", "congruent", "x", "--family", "ladder")
-    assert code == 1  # missing the second word
-    code, out, err = run_cli(capsys, "present", "nf", "x*z", "y*y", "--family", "ladder")
-    assert code == 1 and out == "" and "takes 1 word argument(s), not 2" in err
+    for argv, message in (
+        (["present", "congruent", "x", "--family", "ladder"], "arguments are required: WORD"),
+        (["present", "nf", "x*z", "y*y", "--family", "ladder"], "unrecognized arguments: y*y"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "", argv
+        assert message in captured.err, argv
     custom = tmp_path / "pres.txt"
     custom.write_text("gens: x y; rel: x*x = y*x*x*y")
     for source in (["--family", "sandwich-power"], ["--in", str(custom)]):
@@ -303,6 +309,11 @@ def test_commands_refuse_flags_they_do_not_read(capsys):
         ("ints", "--limit", "10", "--prime-bound", "5"): ("--max-len", "--budget", "--seed"),
         ("corpus", "--max-order", "1"): ("--max-len", "--budget", "--seed"),
         ("factorize", "0", "--null", "1"): ("--budget", "--seed"),
+        ("present", "adian", "--family", "ladder"): ("--max-len", "--budget", "--seed", "--samples"),
+        ("present", "nf", "x", "--family", "ladder"): ("--max-len", "--budget", "--seed", "--samples"),
+        ("present", "congruent", "x", "y", "--family", "ladder"): ("--max-len", "--seed", "--samples"),
+        ("present", "lengths", "x", "--family", "ladder"): ("--seed", "--samples"),
+        ("present", "verify", "--family", "ladder"): ("--budget",),
     }
     for argv, flags in unread.items():
         for flag in flags:
@@ -364,10 +375,17 @@ def test_analyze_on_arbitrary_json_ends_in_report_or_error(doc):
 # -- fuzz over present, ints and factorize ----------------------------------
 
 # Each case carries at most one fault: a size flag set to -1, 0 or 10**12,
-# a budget or sample count below range, an odd word literal, or a broken
-# presentation file.  Everything else is drawn in range, so most cases get
-# past the checks and into the work.
-SIZE_FLAGS = {"--max-len": st.integers(0, 8), "--n": st.integers(1, 4)}
+# a budget or sample count below range, an odd word literal, a broken
+# presentation file, or one of the usage errors of a wrong word count and a
+# flag the action does not read.  Everything else is drawn in range, so most
+# cases get past the checks and into the work.
+IN_RANGE = {
+    "--n": st.integers(1, 4),
+    "--max-len": st.integers(0, 8),
+    "--budget": st.integers(1, 300),
+    "--samples": st.integers(0, 50),
+    "--seed": st.integers(0, 9),
+}
 ODD_VALUES = {
     "--max-len": st.sampled_from([-1, 10**12]),
     "--n": st.sampled_from([-1, 0, 10**12]),
@@ -377,17 +395,35 @@ ODD_VALUES = {
 ODD_WORDS = st.sampled_from(["", "a**b", "*", "q", "x*q", "e*x"])
 ODD_GENS = st.sampled_from([["e"], ["x", "x"], []])
 FAMILY_GENS = {"sandwich-power": ["x", "y"], "sandwich-xyx": ["x", "y"], "ladder": ["w", "x", "y", "z"]}
-ACTION_WORDS = {"adian": 0, "nf": 1, "congruent": 2, "lengths": 1, "verify": 0}
+# Each action: the number of words it takes and the flags it reads (every
+# action also reads --n).
+PRESENT_ACTIONS = {
+    "adian": (0, ()),
+    "nf": (1, ()),
+    "congruent": (2, ("--budget",)),
+    "lengths": (1, ("--max-len", "--budget")),
+    "verify": (0, ("--samples", "--max-len", "--seed")),
+}
+USAGE_FAULTS = ("count", "unread")
 
 
 def words_over(gens):
     return st.just("e") | st.lists(st.sampled_from(gens), min_size=1, max_size=6).map("*".join)
 
 
+def admits(action, fault):
+    count, reads = PRESENT_ACTIONS[action]
+    if fault == "word":
+        return count > 0
+    return fault not in ODD_VALUES or fault in ("--n", *reads)
+
+
 @st.composite
 def present_cases(draw):
-    fault = draw(st.sampled_from([None, "word", "gens", "rel", "source", *ODD_VALUES]))
-    action = draw(st.sampled_from(list(ACTION_WORDS)))
+    fault = draw(st.sampled_from([None, "word", "gens", "rel", "source", *USAGE_FAULTS, *ODD_VALUES]))
+    action = draw(st.sampled_from([a for a in PRESENT_ACTIONS if admits(a, fault)]))
+    count, reads = PRESENT_ACTIONS[action]
+    reads = ("--n", *reads)
     source = draw(st.sampled_from([*FAMILY_GENS, "file"]))
     if source == "file":
         gens = draw(st.lists(st.sampled_from(["x", "y", "a1", "b2"]), min_size=1, max_size=3, unique=True))
@@ -401,20 +437,23 @@ def present_cases(draw):
     else:
         gens, text = FAMILY_GENS[source], None
         argv = ["present", action, "--family", source]
-    words = draw(st.lists(words_over(gens), min_size=ACTION_WORDS[action], max_size=ACTION_WORDS[action] + 1))
+    if fault == "count":
+        count = draw(st.sampled_from([c for c in (count - 1, count + 1) if c >= 0]))
+    words = draw(st.lists(words_over(gens), min_size=count, max_size=count))
     if fault == "word":
-        words.insert(draw(st.integers(0, len(words))), draw(ODD_WORDS))
+        words[draw(st.integers(0, len(words) - 1))] = draw(ODD_WORDS)
     argv[2:2] = words
     if fault == "source":
         argv, text = argv[: 2 + len(words)], None
-    values = {flag: draw(strategy) for flag, strategy in SIZE_FLAGS.items()}
-    values["--budget"] = draw(st.integers(1, 300))
-    values["--samples"] = draw(st.integers(0, 50))
+    values = {flag: draw(IN_RANGE[flag]) for flag in reads}
     if fault in ODD_VALUES:
         values[fault] = draw(ODD_VALUES[fault])
+    if fault == "unread":
+        flag = draw(st.sampled_from([f for f in IN_RANGE if f not in reads]))
+        values[flag] = draw(IN_RANGE[flag])
     for flag, value in values.items():
         argv += [flag, str(value)]
-    return argv + ["--seed", str(draw(st.integers(0, 9)))], text
+    return argv, text, fault in USAGE_FAULTS
 
 
 @st.composite
@@ -428,7 +467,7 @@ def other_cases(draw):
         element = draw(st.sampled_from(["0", "1", "a", "g", "g^2", "zz", ""]))
         flag = draw(st.sampled_from(["--cyclic", "--null"]))
         argv = ["factorize", element, flag, str(draw(sizes)), "--max-len", str(draw(sizes))]
-    return argv, None
+    return argv, None, False
 
 
 # Argument texts argparse must reject with its usage error, in one case of four.
@@ -438,7 +477,7 @@ USAGE_ERRORS = st.sampled_from([[]] * 9 + [["--max-len", "1.5"], ["--budget", "x
 @settings(max_examples=400, deadline=None)
 @given(present_cases() | other_cases(), USAGE_ERRORS)
 def test_other_commands_end_in_report_or_error(case, usage_error):
-    argv, text = case
+    argv, text, usage_fault = case
     argv = argv + usage_error
     with tempfile.TemporaryDirectory() as tmp:
         if text is not None:
@@ -451,11 +490,12 @@ def test_other_commands_end_in_report_or_error(case, usage_error):
             try:
                 code = main(argv)
             except SystemExit as exc:
-                assert exc.code == 2 and usage_error
+                assert exc.code == 2 and (usage_error or usage_fault)
                 code = None
     if code is None:
         assert out.getvalue() == ""
     else:
+        assert not usage_fault
         assert code in (0, 1, 2)
         assert (code in (0, 2)) == (out.getvalue() != "")
         assert (code == 1) == err.getvalue().startswith("factorbench: ")

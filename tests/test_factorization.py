@@ -362,6 +362,16 @@ def test_integer_primality_scan():
             assert (x * y) % c == 0 and x % c and y % c
 
 
+@pytest.mark.parametrize(
+    "carrier, p",
+    [(IntegerFragment(10), 13), (fb.null_monoid(1), 7), (IntegerFragment(10), 0)],
+    ids=["above-limit", "outside-table", "zero"],
+)
+def test_is_prime_refuses_a_non_element(carrier, p):
+    with pytest.raises(ValueError, match="is not an element"):
+        fb.is_prime(carrier, p)
+
+
 # -- powerful atoms ------------------------------------------------------------------
 
 

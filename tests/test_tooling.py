@@ -1,6 +1,6 @@
 """Repository checks: the oracles stay independent of the package, the
-scripts run end to end, every command line in the README runs, and the
-README lists exactly the flags each command declares."""
+scripts run end to end, every command line and the library tour in the
+README run, and the README lists exactly the flags each command declares."""
 
 import argparse
 import ast
@@ -61,19 +61,49 @@ def test_readme_command_lines_exit_zero(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_readme_library_tour_gives_the_values_it_states():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace, values = {}, {}
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            values[source] = eval(source, namespace)
+        else:
+            exec(source, namespace)
+    assert values["fb.property_battery(H).acyclic"] is False
+    flags = values["fb.classify_arithmetic(H)"]
+    assert (flags.atomic, flags.bf, flags.ff, flags.hf) == (True, False, False, False)
+    assert values["fb.minimal_catalog(H).kappa"] == 2
+    prime, (powerful, conflict) = values["fb.is_prime(H, 1), fb.is_powerful(H, 1)"]
+    assert prime == (True, None) and powerful is False and conflict is not None
+    report = values["fb.kappa_report(fb.cyclic(5))"]
+    assert (report.kappa, report.bound, report.attains_bound) == (4, 4, True)
+    assert values["fb.is_powerful(ints, 2)"] == (True, None)
+
+
 def test_readme_lists_the_flags_of_each_command():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = re.search(r"### Flags by command\n(.*?)\n###", readme, re.S).group(1)
     documented = {
         match.group(1): set(re.findall(r"`(--[a-z-]+)", match.group(2)))
-        for match in re.finditer(r"^- `(\w+)[^`]*`: (.*?)(?=^- |^$)", section, re.S | re.M)
+        for match in re.finditer(r"^- `(\w+(?: [a-z]+)?)[^`]*`: (.*?)(?=^- |^$)", section, re.S | re.M)
     }
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    declared = {
-        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
-        for name, sub in subparsers.choices.items()
-    }
-    assert documented == declared
+    assert documented == _declared_flags(build_parser())
+
+
+def _declared_flags(parser, prefix=""):
+    """The option strings of each leaf command, keyed like 'analyze' or
+    'present nf'."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {}
+    for name, sub in subparsers.choices.items():
+        if any(isinstance(a, argparse._SubParsersAction) for a in sub._actions):
+            declared.update(_declared_flags(sub, f"{prefix}{name} "))
+        else:
+            flags = {flag for action in sub._actions for flag in action.option_strings}
+            declared[prefix + name] = flags - {"-h", "--help"}
+    return declared
 
 
 def _run_script(script, *args):
