@@ -310,6 +310,7 @@ def _add_monoid_flags(sub):
 def _add_output_flags(sub):
     sub.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
     sub.add_argument("--out", metavar="FILE")
+    sub.set_defaults(leaf=sub)  # the innermost parser, whose usage line main reports leftovers with
 
 
 @functools.cache  # built once per process; parse_args keeps no state in it
@@ -410,7 +411,9 @@ def dispatch(ns) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns, extras = parser.parse_known_args(argv)
+    if extras:  # argparse would report a subparser's leftovers with the top-level usage
+        ns.leaf.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return dispatch(ns)
     except (FactorbenchError, OSError, ValueError, KeyError) as exc:

@@ -222,7 +222,7 @@ class FiniteMonoid:
     def completion_test(self, x: int):
         return self.analysis.completion_test(x)
 
-    def pairs(self):
+    def prime_candidates(self, p: int):
         return product(self.elements(), repeat=2)
 
     def powerful(self, a: int):

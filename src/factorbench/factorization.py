@@ -5,12 +5,11 @@ classifier batteries.
 Every operation here works over a "factorization system": a carrier exposing
 identity, mul, is_unit, elements, divides, an atom alphabet, its associate
 classes and three answers: completion_test(x), a predicate on prefix products
-(can the prefix still be completed to x?); pairs(), the pairs a primality
-scan tries; and powerful(a), as is_powerful returns it.  FiniteMonoid (from
-.core) answers from its AtomAnalysis, kept as H.analysis, which the
-finite-only deciders here read as well.  IntegerFragment (the integers
-1..limit under multiplication, atoms = primes, all associate classes
-singletons) answers by arithmetic.
+(can the prefix still be completed to x?); prime_candidates(p), the pairs that
+could refute p's primality, in lexicographic order; and powerful(a), as
+is_powerful returns it.  FiniteMonoid (from .core) answers from H.analysis,
+which the finite-only deciders read too, and offers every pair.  IntegerFragment
+(1..limit under multiplication, atoms = primes) answers by arithmetic.
 
 Atom words are plain tuples of carrier elements; the empty tuple is the empty
 word.
@@ -21,6 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from heapq import merge
+from itertools import groupby
+from math import gcd, isqrt
 from operator import le
 
 from .errors import (
@@ -68,10 +70,15 @@ class IntegerFragment:
     def completion_test(self, x: int):
         return lambda s: x % s == 0
 
-    def pairs(self):
-        for x in range(1, self.limit + 1):
-            for y in range(1, self.limit // x + 1):
-                yield x, y
+    def prime_candidates(self, p: int):
+        # gcd(x, p) == 1 and p | x*y force p | y (Bezout), so x runs over the
+        # multiples of p's proper prime divisors, y over those of p // gcd(x, p).
+        divisors = {e for d in range(2, isqrt(p) + 1) if p % d == 0 for e in (d, p // d)}
+        primes = [q for q in divisors if all(q % e for e in divisors if e < q)]
+        for x, _ in groupby(merge(*(range(q, self.limit + 1, q) for q in primes))):
+            step = p // gcd(x, p)
+            if step > 1:  # p does not divide x
+                yield from ((x, y) for y in range(step, self.limit // x + 1, step))
 
     def powerful(self, a: int) -> tuple[bool, None]:
         return True, None
@@ -359,14 +366,14 @@ def kappa_and_dichotomy(H) -> tuple[int, tuple[int, ...]]:
 
 
 def is_prime(S, p) -> tuple[bool, tuple | None]:
-    """Exhaustive primality scan: p is prime iff it is a non-unit and divides
-    a product only by dividing a factor.  Returns (flag, counterexample); the
-    counterexample is a pair (x, y) with p | x*y but p dividing neither."""
+    """p is prime iff it is a non-unit that divides a product only by dividing
+    a factor.  Returns (flag, counterexample): the first pair (x, y) of
+    S.prime_candidates(p) with p | x*y but p dividing neither, or None."""
     if p not in S.elements():
         raise ValueError(f"{p!r} is not an element")
     if S.is_unit(p):
         return False, None
-    for x, y in S.pairs():
+    for x, y in S.prime_candidates(p):
         if S.divides(p, S.mul(x, y)) and not S.divides(p, x) and not S.divides(p, y):
             return False, (x, y)
     return True, None

@@ -284,6 +284,21 @@ def smallest_prime_factorization(n):
     return tuple(out)
 
 
+def integer_prime_scan(limit, p):
+    """Primality of p in the integers 1..limit under multiplication, by the
+    all-pairs scan: (flag, the first pair (x, y) with x*y <= limit in
+    lexicographic order such that p | x*y but p divides neither)."""
+    if not 1 <= p <= limit:
+        raise ValueError(f"{p!r} is not an element")
+    if p == 1:
+        return False, None
+    for x in range(1, limit + 1):
+        for y in range(1, limit // x + 1):
+            if (x * y) % p == 0 and x % p and y % p:
+                return False, (x, y)
+    return True, None
+
+
 def multigraph_has_cycle(vertices, edges):
     """Exhaustive: loops, parallel edges, or any simple cycle."""
     for a, b in edges:

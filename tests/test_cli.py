@@ -145,6 +145,35 @@ def test_ints_prime_bound_above_limit(capsys):
     assert code == 0 and json.loads(out)["report"]["primes_checked"] == 4
 
 
+def test_ints_at_a_limit_beyond_the_all_pairs_scan(capsys):
+    # 62 primes against 10^5 elements: the all-pairs scan would walk about
+    # 1.2 million pairs for each of them
+    code, out, _ = run_cli(capsys, "ints", "--limit", "100000", "--prime-bound", "300")
+    body = json.loads(out)["report"]
+    assert code == 0 and body["prime_failures"] == [] and body["primes_checked"] == 62
+
+
+@pytest.mark.parametrize(
+    "argv, command, leftovers",
+    [
+        (["present", "nf", "x*z", "y*y", "--family", "ladder"], "present nf", "y*y"),
+        (["present", "verify", "--family", "ladder", "--budget", "5"], "present verify",
+         "--budget 5"),
+        (["ints", "--limit", "5", "extra"], "ints", "extra"),
+        (["corpus", "--max-len", "2"], "corpus", "--max-len 2"),
+    ],
+)
+def test_leftover_arguments_get_the_usage_of_their_command(capsys, argv, command, leftovers):
+    # argparse hands a subparser's leftovers back to the top-level parser,
+    # whose usage line names no command
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"usage: factorbench {command} "), err
+    assert err.endswith(f"factorbench {command}: error: unrecognized arguments: {leftovers}\n")
+
+
 def test_corpus_scan(capsys):
     code, out, _ = run_cli(capsys, "corpus", "--max-order", "2")
     assert code == 0

@@ -11,11 +11,13 @@ from factorbench.factorization import (
     factorization_class_keys,
     integer_class_table,
     pi_eval,
+    primes_up_to,
 )
 from oracles import (
     brute_lengths,
     brute_ordered_factorizations,
     class_space_catalog,
+    integer_prime_scan,
     smallest_prime_factorization,
     word_catalog,
 )
@@ -360,6 +362,32 @@ def test_integer_primality_scan():
         if ce is not None:
             x, y = ce
             assert (x * y) % c == 0 and x % c and y % c
+
+
+@pytest.mark.parametrize("limit", [1, 2, 7, 30, 64, 300])
+def test_integer_primes_agree_with_the_all_pairs_scan(limit):
+    # the gcd-pruned candidates must give the same flag and counterexample as
+    # the scan over every pair, for the unit, primes and composites alike
+    ints = IntegerFragment(limit)
+    for p in range(1, limit + 1):
+        assert fb.is_prime(ints, p) == integer_prime_scan(limit, p), p
+        # beyond the first: every refuting pair is a candidate, in order
+        candidates = list(ints.prime_candidates(p))
+        assert candidates == sorted(set(candidates)), p
+        refuting = {
+            (x, y)
+            for x in range(1, limit + 1)
+            for y in range(1, limit // x + 1)
+            if (x * y) % p == 0 and x % p and y % p
+        }
+        assert refuting <= set(candidates), p
+
+
+def test_integer_primes_have_no_prime_candidates():
+    # a prime shares no proper divisor with any x, so nothing is paired at all
+    ints = IntegerFragment(10**4)
+    for p in primes_up_to(100):
+        assert next(ints.prime_candidates(p), None) is None, p
 
 
 @pytest.mark.parametrize(
