@@ -387,7 +387,10 @@ _HANDLERS = {
 
 def dispatch(ns) -> int:
     # Each command declares only the flags it reads.
-    lowest = {"max_len": 0, "budget": 1, "seed": 0, "max_order": 0}
+    lowest = {
+        "max_len": 0, "budget": 1, "seed": 0, "max_order": 0,
+        "samples": 0, "limit": 1, "prime_bound": 0,
+    }
     for dest, low in lowest.items():
         value = getattr(ns, dest, low)
         if value < low:

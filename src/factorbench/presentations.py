@@ -90,6 +90,49 @@ class Presentation:
         sides = [(self.encode(lhs), self.encode(rhs)) for lhs, rhs in self.relations]
         return tuple(rule for a, b in sides for rule in ((a, b), (b, a)))
 
+    @cached_property
+    def functionals(self) -> tuple[tuple[int, ...], ...]:
+        """Integer basis of the linear letter-count functionals that every
+        defining relation preserves (a Fraction row reduction, done once)."""
+        width = len(self.generators)
+        rows = [
+            [a - b for a, b in zip(letter_counts(self, lhs), letter_counts(self, rhs))]
+            for lhs, rhs in self.relations
+        ]
+        mat = [[Fraction(v) for v in row] for row in rows]
+        pivots: list[int] = []
+        r = 0
+        for c in range(width):
+            pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+            if pr is None:
+                continue
+            mat[r], mat[pr] = mat[pr], mat[r]
+            pv = mat[r][c]
+            mat[r] = [v / pv for v in mat[r]]
+            for i in range(len(mat)):
+                if i != r and mat[i][c]:
+                    f = mat[i][c]
+                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            pivots.append(c)
+            r += 1
+            if r == len(mat):
+                break
+        basis = []
+        pivot_set = set(pivots)
+        for fc in (c for c in range(width) if c not in pivot_set):
+            vec = [Fraction(0)] * width
+            vec[fc] = Fraction(1)
+            for pr, pc in enumerate(pivots):
+                vec[pc] = -mat[pr][fc]
+            den = lcm(*(v.denominator for v in vec))
+            g = gcd(*(int(v * den) for v in vec))  # >= 1: vec[fc] is 1
+            ints = [int(v * den) // g for v in vec]
+            lead = next((v for v in ints if v), 1)
+            if lead < 0:
+                ints = [-v for v in ints]
+            basis.append(tuple(ints))
+        return tuple(basis)
+
 
 def parse_presentation(text: str) -> Presentation:
     """Parse `gens: x y; rel: x*x = y*x*x*y; rel: ...` (words are *-joined
@@ -229,45 +272,8 @@ def letter_counts(P: Presentation, word: GenWord) -> tuple[int, ...]:
 
 def conserved_functionals(P: Presentation) -> tuple[tuple[int, ...], ...]:
     """Integer basis of the linear letter-count functionals that every
-    defining relation preserves."""
-    width = len(P.generators)
-    rows = [
-        [a - b for a, b in zip(letter_counts(P, lhs), letter_counts(P, rhs))]
-        for lhs, rhs in P.relations
-    ]
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    basis = []
-    pivot_set = set(pivots)
-    for fc in (c for c in range(width) if c not in pivot_set):
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -mat[pr][fc]
-        den = lcm(*(v.denominator for v in vec))
-        g = gcd(*(int(v * den) for v in vec))  # >= 1: vec[fc] is 1
-        ints = [int(v * den) // g for v in vec]
-        lead = next((v for v in ints if v), 1)
-        if lead < 0:
-            ints = [-v for v in ints]
-        basis.append(tuple(ints))
-    return tuple(basis)
+    defining relation preserves; computed once per presentation."""
+    return P.functionals
 
 
 # -- bounded word problem -------------------------------------------------------
@@ -404,17 +410,34 @@ def normal_form(word) -> GenWord:
     return tuple(_normal_form(_ladder_str(word)))
 
 
-def _random_ladder_word(rng: Random, max_len: int) -> str:
-    return "".join(rng.choice(LADDER_ALPHABET) for _ in range(rng.randint(0, max_len)))
+# The draws below take the bits of Random.getrandbits exactly as CPython's
+# Random.choice and Random.randint do, so they give the same words and leave
+# the generator in the same state at a fraction of the cost;
+# tests/test_presentations.py pins this on the running interpreter.
 
 
-def _random_congruent(rng: Random, s: str, steps: int) -> str:
+def _randbelow(getrandbits, n: int) -> int:
+    """A uniform draw from range(n), n >= 1: n.bit_length() bits, redrawn
+    while they are n or more."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _random_ladder_word(getrandbits, max_len: int) -> str:
+    n = _randbelow(getrandbits, max_len + 1)
+    return "".join([LADDER_ALPHABET[_randbelow(getrandbits, 4)] for _ in range(n)])
+
+
+def _random_congruent(getrandbits, s: str, steps: int) -> str:
     for _ in range(steps):
         moves = [("expand", m.start(), m.end()) for m in _FACTOR.finditer(s)]
         moves += [("contract", m.start(), m.end()) for m in _CONTRACT.finditer(s)]
         if not moves:
             break
-        kind, i, j = rng.choice(moves)
+        kind, i, j = moves[_randbelow(getrandbits, len(moves))]
         if kind == "expand":
             k = j - i - 2
             s = s[:i] + "yx" + "y" * (k + 1) + "zw" + s[j:]
@@ -423,12 +446,12 @@ def _random_congruent(rng: Random, s: str, steps: int) -> str:
     return s
 
 
-def _random_order_normal_form(rng: Random, s: str) -> str:
+def _random_order_normal_form(getrandbits, s: str) -> str:
     while True:
         ms = list(_CONTRACT.finditer(s))
         if not ms:
             return s
-        m = rng.choice(ms)
+        m = ms[_randbelow(getrandbits, len(ms))]
         s = _contract(s, m.start(), m.end())
 
 
@@ -468,44 +491,45 @@ def verify_ladder_properties(
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     rng = Random(seed)
+    bits = rng.getrandbits
+    nf = _normal_form
     canc_hits = canc_fail = 0
     acyc_hits = acyc_fail = 0
     conf_fail = 0
     for _ in range(samples):
-        z = _random_ladder_word(rng, max_len)
-        u = _random_ladder_word(rng, max_len)
+        z = _random_ladder_word(bits, max_len)
+        u = _random_ladder_word(bits, max_len)
         if rng.random() < 0.5:
-            v = _random_congruent(rng, u, rng.randint(1, 3))
+            v = _random_congruent(bits, u, 1 + _randbelow(bits, 3))
         else:
-            v = _random_ladder_word(rng, max_len)
+            v = _random_ladder_word(bits, max_len)
 
-        if _normal_form(z + u) == _normal_form(z + v):
-            canc_hits += 1
-            if _normal_form(u) != _normal_form(v):
-                canc_fail += 1
-        if _normal_form(u + z) == _normal_form(v + z):
-            canc_hits += 1
-            if _normal_form(u) != _normal_form(v):
-                canc_fail += 1
+        sides = (nf(z + u) == nf(z + v)) + (nf(u + z) == nf(v + z))
+        if sides:
+            canc_hits += sides
+            if nf(u) != nf(v):
+                canc_fail += sides
 
         a = u if rng.random() < 0.5 else ""
         b = v if rng.random() < 0.5 else ""
-        if _normal_form(a + z + b) == _normal_form(z):
+        if nf(a + z + b) == nf(z):
             acyc_hits += 1
             if a or b:
                 acyc_fail += 1
 
-        probe = _random_congruent(rng, z + u, rng.randint(0, 2))
-        if _random_order_normal_form(rng, probe) != _normal_form(probe):
+        probe = _random_congruent(bits, z + u, _randbelow(bits, 3))
+        if _random_order_normal_form(bits, probe) != nf(probe):
             conf_fail += 1
 
-    rng = Random(seed)
+    bits = Random(seed).getrandbits
     pairs = max(samples // 10, 1)
     psi_fail = 0
     for _ in range(pairs):
-        u = _random_ladder_word(rng, max_len)
-        v = _random_congruent(rng, u, rng.randint(1, 4))
+        u = _random_ladder_word(bits, max_len)
+        v = _random_congruent(bits, u, 1 + _randbelow(bits, 4))
         if len(_FACTOR.findall(u)) != len(_FACTOR.findall(v)):
             psi_fail += 1
     return LadderVerification(

@@ -7,6 +7,7 @@ no shared code paths with the implementations under test.
 import re
 from itertools import product
 from operator import le
+from random import Random
 
 
 def associativity_triples(table):
@@ -357,6 +358,83 @@ def leftmost_normal_form(s):
         i, j = m.start(), m.end()
         s = s[:i] + "x" + "y" * (j - i - 5) + "z" + s[j:]
 
+
+
+# The ladder verifier's draws as written before they took getrandbits bits
+# directly: one Random.choice or Random.randint call per draw.
+
+_LADDER_FACTOR = re.compile(r"xy*z")
+_LADDER_CONTRACT = re.compile(r"yxy+zw")
+
+
+def _ladder_contract(s, i, j):
+    return s[:i] + "x" + "y" * (j - i - 5) + "z" + s[j:]
+
+
+def choice_ladder_word(rng, max_len):
+    return "".join(rng.choice(("w", "x", "y", "z")) for _ in range(rng.randint(0, max_len)))
+
+
+def choice_congruent(rng, s, steps):
+    """steps random expansions x y^k z -> y x y^(k+1) z w or contractions,
+    each drawn by rng.choice over every occurrence."""
+    for _ in range(steps):
+        moves = [("expand", m.start(), m.end()) for m in _LADDER_FACTOR.finditer(s)]
+        moves += [("contract", m.start(), m.end()) for m in _LADDER_CONTRACT.finditer(s)]
+        if not moves:
+            break
+        kind, i, j = rng.choice(moves)
+        if kind == "expand":
+            k = j - i - 2
+            s = s[:i] + "yx" + "y" * (k + 1) + "zw" + s[j:]
+        else:
+            s = _ladder_contract(s, i, j)
+    return s
+
+
+def choice_order_normal_form(rng, s):
+    """Contract an occurrence drawn by rng.choice until none is left."""
+    while True:
+        ms = list(_LADDER_CONTRACT.finditer(s))
+        if not ms:
+            return s
+        m = rng.choice(ms)
+        s = _ladder_contract(s, m.start(), m.end())
+
+
+def ladder_verification(samples, max_len, seed):
+    """The fields of the ladder verification report, in order: the same
+    checks on the same draws, by Random.choice and Random.randint, with
+    leftmost_normal_form as the normal form and psi_dp as psi."""
+    nf = leftmost_normal_form
+    rng = Random(seed)
+    canc_hits = canc_fail = acyc_hits = acyc_fail = conf_fail = 0
+    for _ in range(samples):
+        z = choice_ladder_word(rng, max_len)
+        u = choice_ladder_word(rng, max_len)
+        if rng.random() < 0.5:
+            v = choice_congruent(rng, u, rng.randint(1, 3))
+        else:
+            v = choice_ladder_word(rng, max_len)
+        for same in (nf(z + u) == nf(z + v), nf(u + z) == nf(v + z)):
+            if same:
+                canc_hits += 1
+                canc_fail += nf(u) != nf(v)
+        a = u if rng.random() < 0.5 else ""
+        b = v if rng.random() < 0.5 else ""
+        if nf(a + z + b) == nf(z):
+            acyc_hits += 1
+            acyc_fail += bool(a or b)
+        probe = choice_congruent(rng, z + u, rng.randint(0, 2))
+        conf_fail += choice_order_normal_form(rng, probe) != nf(probe)
+    rng = Random(seed)
+    pairs = max(samples // 10, 1)
+    psi_fail = 0
+    for _ in range(pairs):
+        u = choice_ladder_word(rng, max_len)
+        v = choice_congruent(rng, u, rng.randint(1, 4))
+        psi_fail += psi_dp(u) != psi_dp(v)
+    return (samples, canc_hits, canc_fail, acyc_hits, acyc_fail, conf_fail, pairs, psi_fail)
 
 def tuple_rewrites(word, relations):
     """Every tuple word one relation application away, relation by relation,

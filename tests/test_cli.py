@@ -284,7 +284,7 @@ def test_error_paths(tmp_path, capsys):
         assert code == 1 and out == "", source
         assert "verify is only decided for the ladder family" in err, source
     code, _, err = run_cli(capsys, "present", "verify", "--family", "ladder", "--samples", "-5")
-    assert code == 1 and "samples must be >= 0" in err
+    assert code == 1 and out == "" and "--samples -5 is below 0" in err
     code, out, _ = run_cli(capsys, "present", "verify", "--family", "ladder", "--samples", "0")
     assert code == 0 and json.loads(out)["report"]["samples"] == 0
     code, out, err = run_cli(capsys, "corpus", "--max-order", "4")
@@ -295,6 +295,13 @@ def test_error_paths(tmp_path, capsys):
         capsys, "present", "congruent", "x", "y", "--family", "sandwich-power", "--budget", "0"
     )
     assert code == 1 and out == "" and "--budget 0 is below 1" in err
+    for argv, message in (
+        (["ints", "--limit", "-3", "--prime-bound", "1"], "--limit -3 is below 1"),
+        (["ints", "--limit", "0", "--prime-bound", "0"], "--limit 0 is below 1"),
+        (["ints", "--prime-bound", "-1"], "--prime-bound -1 is below 0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and message in err, argv
     # size flags that would allocate before any budget applies are refused
     for argv in (
         ["present", "adian", "--family", "sandwich-power", "--n", "1000000000000"],

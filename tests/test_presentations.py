@@ -1,4 +1,5 @@
 import re
+from dataclasses import astuple
 from random import Random
 
 import pytest
@@ -28,9 +29,17 @@ from factorbench.presentations import (
     sandwich_xyx,
     validate_chain,
     verify_ladder_properties,
+    _random_congruent,
+    _random_ladder_word,
+    _random_order_normal_form,
+    _randbelow,
     _rewrites,
 )
 from oracles import (
+    choice_congruent,
+    choice_ladder_word,
+    choice_order_normal_form,
+    ladder_verification,
     leftmost_normal_form,
     multigraph_has_cycle,
     psi_dp,
@@ -178,6 +187,11 @@ def test_conserved_functionals_are_conserved():
                 assert sum(a * b for a, b in zip(f, cl)) == sum(
                     a * b for a, b in zip(f, cr)
                 )
+
+
+def test_conserved_functionals_are_computed_once():
+    P = ladder_presentation(5)
+    assert conserved_functionals(P) is conserved_functionals(P)
 
 
 def test_chain_steps_are_single_rewrites():
@@ -400,6 +414,38 @@ def test_verification_report_clean():
     assert rep.ok
     assert rep.cancellation_hits > 0 and rep.acyclicity_hits > 0
     assert rep.psi_pairs_checked == 200 and rep.psi_failures == 0
+
+
+@pytest.mark.parametrize("max_len", [0, 1, 6, 40, 5000])
+def test_getrandbits_draws_match_random_choice(max_len):
+    # The verifier's draws rest on CPython's Random.choice and Random.randint
+    # taking n.bit_length() bits and redrawing; this pins it on the running
+    # interpreter, generator state included.
+    for seed in range(200):
+        fast, slow = Random(seed), Random(seed)
+        bits = fast.getrandbits
+        for _ in range(2):
+            word = _random_ladder_word(bits, max_len)
+            assert word == choice_ladder_word(slow, max_len), seed
+            steps = _randbelow(bits, 4)
+            assert steps == slow.randint(0, 3), seed
+            probe = _random_congruent(bits, word, steps)
+            assert probe == choice_congruent(slow, word, steps), seed
+            assert _random_order_normal_form(bits, probe) == choice_order_normal_form(slow, probe), seed
+        assert fast.getstate() == slow.getstate(), seed
+
+
+def test_verification_matches_choice_oracle():
+    for samples, max_len, seed in (
+        (0, 6, 0), (1, 0, 3), (200, 6, 3), (700, 6, 5), (400, 12, 7), (150, 40, 11), (10, 400, 2)
+    ):
+        rep = verify_ladder_properties(samples, max_len, seed)
+        assert astuple(rep) == ladder_verification(samples, max_len, seed), (samples, max_len, seed)
+
+
+def test_verification_refuses_negative_max_len():
+    with pytest.raises(ValueError, match="max_len must be >= 0"):
+        verify_ladder_properties(5, -1)
 
 
 def test_verification_handles_specific_instances():
