@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from random import Random
 
@@ -89,49 +89,6 @@ class Presentation:
         """Encoded rewrite rules: each relation forwards, then backwards."""
         sides = [(self.encode(lhs), self.encode(rhs)) for lhs, rhs in self.relations]
         return tuple(rule for a, b in sides for rule in ((a, b), (b, a)))
-
-    @cached_property
-    def functionals(self) -> tuple[tuple[int, ...], ...]:
-        """Integer basis of the linear letter-count functionals that every
-        defining relation preserves (a Fraction row reduction, done once)."""
-        width = len(self.generators)
-        rows = [
-            [a - b for a, b in zip(letter_counts(self, lhs), letter_counts(self, rhs))]
-            for lhs, rhs in self.relations
-        ]
-        mat = [[Fraction(v) for v in row] for row in rows]
-        pivots: list[int] = []
-        r = 0
-        for c in range(width):
-            pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-            if pr is None:
-                continue
-            mat[r], mat[pr] = mat[pr], mat[r]
-            pv = mat[r][c]
-            mat[r] = [v / pv for v in mat[r]]
-            for i in range(len(mat)):
-                if i != r and mat[i][c]:
-                    f = mat[i][c]
-                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(mat):
-                break
-        basis = []
-        pivot_set = set(pivots)
-        for fc in (c for c in range(width) if c not in pivot_set):
-            vec = [Fraction(0)] * width
-            vec[fc] = Fraction(1)
-            for pr, pc in enumerate(pivots):
-                vec[pc] = -mat[pr][fc]
-            den = lcm(*(v.denominator for v in vec))
-            g = gcd(*(int(v * den) for v in vec))  # >= 1: vec[fc] is 1
-            ints = [int(v * den) // g for v in vec]
-            lead = next((v for v in ints if v), 1)
-            if lead < 0:
-                ints = [-v for v in ints]
-            basis.append(tuple(ints))
-        return tuple(basis)
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -270,10 +227,49 @@ def letter_counts(P: Presentation, word: GenWord) -> tuple[int, ...]:
     return tuple(word.count(g) for g in P.generators)
 
 
+@lru_cache(maxsize=64)
 def conserved_functionals(P: Presentation) -> tuple[tuple[int, ...], ...]:
     """Integer basis of the linear letter-count functionals that every
-    defining relation preserves; computed once per presentation."""
-    return P.functionals
+    defining relation preserves.  Cached by value: each request builds its
+    own, equal, family presentation."""
+    width = len(P.generators)
+    rows = [
+        [a - b for a, b in zip(letter_counts(P, lhs), letter_counts(P, rhs))]
+        for lhs, rhs in P.relations
+    ]
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(width):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [v / pv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    pivot_set = set(pivots)
+    for fc in (c for c in range(width) if c not in pivot_set):
+        vec = [Fraction(0)] * width
+        vec[fc] = Fraction(1)
+        for pr, pc in enumerate(pivots):
+            vec[pc] = -mat[pr][fc]
+        den = lcm(*(v.denominator for v in vec))
+        g = gcd(*(int(v * den) for v in vec))  # >= 1: vec[fc] is 1
+        ints = [int(v * den) // g for v in vec]
+        lead = next((v for v in ints if v), 1)
+        if lead < 0:
+            ints = [-v for v in ints]
+        basis.append(tuple(ints))
+    return tuple(basis)
 
 
 # -- bounded word problem -------------------------------------------------------
@@ -418,7 +414,8 @@ def normal_form(word) -> GenWord:
 
 def _randbelow(getrandbits, n: int) -> int:
     """A uniform draw from range(n), n >= 1: n.bit_length() bits, redrawn
-    while they are n or more."""
+    while they are n or more.  Random._randbelow does the same but looks up
+    self.getrandbits on every call, which makes a draw about 1.7x slower."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:

@@ -526,6 +526,12 @@ def test_integer_class_table_is_unique_and_matches_sieve():
         assert table[n] == {smallest_prime_factorization(n)}, n
 
 
+@pytest.mark.parametrize("build", [IntegerFragment, integer_class_table])
+def test_integer_fragment_refuses_limit_below_one(build):
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        build(0)
+
+
 def test_integer_word_enumeration_matches_class_table():
     ints = IntegerFragment(300)
     table = integer_class_table(300)

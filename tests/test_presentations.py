@@ -189,9 +189,12 @@ def test_conserved_functionals_are_conserved():
                 )
 
 
-def test_conserved_functionals_are_computed_once():
-    P = ladder_presentation(5)
-    assert conserved_functionals(P) is conserved_functionals(P)
+def test_conserved_functionals_are_computed_once_per_presentation_value():
+    # every CLI request builds its own family presentation; equal ones share
+    # one row reduction
+    assert conserved_functionals(ladder_presentation(5)) is conserved_functionals(
+        ladder_presentation(5)
+    )
 
 
 def test_chain_steps_are_single_rewrites():
@@ -443,9 +446,13 @@ def test_verification_matches_choice_oracle():
         assert astuple(rep) == ladder_verification(samples, max_len, seed), (samples, max_len, seed)
 
 
-def test_verification_refuses_negative_max_len():
-    with pytest.raises(ValueError, match="max_len must be >= 0"):
-        verify_ladder_properties(5, -1)
+@pytest.mark.parametrize(
+    "samples, max_len, message",
+    [(5, -1, "max_len must be >= 0"), (-1, 6, "samples must be >= 0")],
+)
+def test_verification_refuses_negative_sizes(samples, max_len, message):
+    with pytest.raises(ValueError, match=message):
+        verify_ladder_properties(samples, max_len)
 
 
 def test_verification_handles_specific_instances():
