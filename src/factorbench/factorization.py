@@ -23,7 +23,6 @@ from functools import cached_property
 from heapq import merge
 from itertools import groupby
 from math import gcd, isqrt
-from operator import le
 
 from .errors import (
     AlphabetMismatch,
@@ -674,35 +673,60 @@ class AtomAnalysis:
         - each representative is the lexicographically first word of its
           state: that word extends the first word of its prefix's state, and
           layers are made, hence kept, in the order of their first words.
+
+        Each vector is packed into one int with a field of w = |H|.bit_length()
+        + 1 bits per atom class, class c at bit c*w, so stepping by an atom of
+        class c adds 1 << c*w.  A minimal word has at most |H| - 1 letters, so
+        a candidate one letter longer counts at most |H| < 2**(w - 1) per class
+        and the top bit of each field is free as a guard bit (G holds all of
+        them): o <= k iff ((k | G) - o) & G == G, since no field borrows from
+        the next and each keeps its guard bit iff it does not go below o's.
+        o <= k also needs supp(o) within supp(k) (bit c set iff class c
+        occurs), so each element keeps its earlier vectors in buckets keyed by
+        support mask and a query scans only the buckets under supp(k).  The
+        vectors are unpacked to tuples once, at the end.
         """
         H = self.H
-        letters = [H.atom_class_of[a] for a in H.atoms]
-        zero = (0,) * len(H.atom_classes)
-        kept: dict[object, dict[tuple[int, ...], tuple]] = {x: {} for x in H.elements()}
-        earlier: dict[object, list[tuple[int, ...]]] = {x: [] for x in H.elements()}
-        kept[H.identity][zero] = ()
-        layer = [(H.identity, zero)]
+        classes = range(len(H.atom_classes))
+        w = H.size.bit_length() + 1
+        guards = sum(1 << (c * w + w - 1) for c in classes)
+        steps = [(a, 1 << H.atom_class_of[a] * w, 1 << H.atom_class_of[a]) for a in H.atoms]
+        kept: list[dict[int, tuple]] = [{} for _ in H.elements()]
+        earlier: list[dict[int, list[int]]] = [{} for _ in H.elements()]
+        kept[H.identity][0] = ()
+        layer = [(H.identity, 0, 0)]
         while layer:
-            for x, counts in layer:
-                earlier[x].append(counts)
+            for x, counts, supp in layer:
+                earlier[x].setdefault(supp, []).append(counts)
             made = []
-            for x, counts in layer:
-                for a, c, y in zip(H.atoms, letters, self.succ[x]):
+            for x, counts, supp in layer:
+                word = kept[x][counts]
+                for (a, step, bit), y in zip(steps, self.succ[x]):
                     if y == x:
                         continue
-                    k = counts[:c] + (counts[c] + 1,) + counts[c + 1 :]
+                    k = counts + step
                     reps = kept[y]
-                    if k in reps or any(all(map(le, o, k)) for o in earlier[y]):
+                    if k in reps:
                         continue
-                    reps[k] = kept[x][counts] + (a,)
-                    made.append((y, k))
+                    s = supp | bit
+                    kg = k | guards
+                    if any(
+                        (kg - o) & guards == guards
+                        for mask, olds in earlier[y].items()
+                        if mask & s == mask
+                        for o in olds
+                    ):
+                        continue
+                    reps[k] = word + (a,)
+                    made.append((y, k, s))
             layer = made
 
-        per_element = {
-            x: tuple(
-                MinimalClassEntry(k, reps[k]) for k in sorted(reps, key=lambda k: (sum(k), k))
+        field = (1 << w) - 1
+        per_element = {}
+        for x, reps in enumerate(kept):
+            vectors = {tuple(k >> c * w & field for c in classes): rep for k, rep in reps.items()}
+            per_element[x] = tuple(
+                MinimalClassEntry(k, vectors[k]) for k in sorted(vectors, key=lambda k: (sum(k), k))
             )
-            for x, reps in kept.items()
-        }
-        kappa = max(sum(k) for reps in kept.values() for k in reps)
+        kappa = max(len(e.representative) for entries in per_element.values() for e in entries)
         return MinimalCatalog(per_element, kappa)

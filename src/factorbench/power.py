@@ -5,6 +5,7 @@ bound read off the base monoid."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 
 from .core import FiniteMonoid, _check_order
 from .errors import BoundViolation, CrossCheckMismatch
@@ -27,23 +28,29 @@ class PowerMonoidBuild:
 
     @classmethod
     def of(cls, K: FiniteMonoid) -> "PowerMonoidBuild":
+        """The setwise table by one union per entry.  For each base element x,
+        x*B over every mask B grows from B minus its lowest bit; then the row
+        of A is (A minus its top bit)*B | top*B over the row of a smaller A.
+        Every mask holds the identity, so bit 0 of each product is set and
+        products are kept shifted right by one, as element indices."""
         n = K.size
         _check_order(1 << (n - 1), f"the reduced power monoid of a base of size {n}")
-        masks = [m | 1 for m in range(0, 1 << n, 2)]
-        pos = {m: i for i, m in enumerate(masks)}
+        masks = range(1, 1 << n, 2)
 
         def bits(mask):
             return [i for i in range(n) if mask >> i & 1]
 
-        def setwise(ma, mb):
-            out = 0
-            for x in bits(ma):
-                row = K.table[x]
-                for y in bits(mb):
-                    out |= 1 << row[y]
-            return out
-
-        table = [[pos[setwise(ma, mb)] for mb in masks] for ma in masks]
+        images = []
+        for row in K.table:
+            image = [0] * (1 << n)
+            for b in range(1, 1 << n):
+                low = b & -b
+                image[b] = image[b ^ low] | 1 << row[low.bit_length() - 1]
+            images.append([m >> 1 for m in image[1::2]])
+        table = [images[0]]
+        for ma in masks[1:]:
+            top = ma.bit_length() - 1
+            table.append(list(map(or_, table[(ma ^ 1 << top) >> 1], images[top])))
         names = tuple(
             "{" + ",".join(K.names[i] for i in bits(m)) + "}" for m in masks
         )

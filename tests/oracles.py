@@ -233,6 +233,66 @@ def path_catalog(H):
     return catalog, kappa
 
 
+def tuple_layered_catalog(table, atoms, atom_class_of):
+    """Minimal classes of every element of the monoid with this table
+    (identity 0), with representatives, by a layered search over (element,
+    count-vector) states kept as tuples: a new state (y, k) is kept iff k is
+    new for y and no vector kept for y in an earlier layer is <= k, scanning
+    all of them.  Returns ({element: [(counts, word), ...] by (length,
+    counts)}, kappa) over every element."""
+    zero = (0,) * len(set(atom_class_of.values()))
+    kept = [{} for _ in table]
+    earlier = [[] for _ in table]
+    kept[0][zero] = ()
+    layer = [(0, zero)]
+    while layer:
+        for x, counts in layer:
+            earlier[x].append(counts)
+        made = []
+        for x, counts in layer:
+            for a in atoms:
+                y, c = table[x][a], atom_class_of[a]
+                if y == x:
+                    continue
+                k = counts[:c] + (counts[c] + 1,) + counts[c + 1 :]
+                reps = kept[y]
+                if k in reps or any(all(map(le, o, k)) for o in earlier[y]):
+                    continue
+                reps[k] = kept[x][counts] + (a,)
+                made.append((y, k))
+        layer = made
+    catalog = {
+        x: [(k, reps[k]) for k in sorted(reps, key=lambda k: (sum(k), k))]
+        for x, reps in enumerate(kept)
+    }
+    kappa = max(sum(k) for reps in kept for k in reps)
+    return catalog, kappa
+
+
+def setwise_power_table(table, names):
+    """The reduced power monoid of the monoid with this table (identity 0):
+    the identity-containing subsets, as characteristic masks in increasing
+    order, multiplied elementwise pair by pair.  Returns (table, names,
+    subset_of) in the order of the masks."""
+    n = len(table)
+    masks = [m | 1 for m in range(0, 1 << n, 2)]
+    pos = {m: i for i, m in enumerate(masks)}
+
+    def bits(mask):
+        return [i for i in range(n) if mask >> i & 1]
+
+    def setwise(ma, mb):
+        out = 0
+        for x in bits(ma):
+            for y in bits(mb):
+                out |= 1 << table[x][y]
+        return out
+
+    power = [[pos[setwise(ma, mb)] for mb in masks] for ma in masks]
+    subset_names = ["{" + ",".join(names[i] for i in bits(m)) + "}" for m in masks]
+    return power, subset_names, [frozenset(bits(m)) for m in masks]
+
+
 def _min_filter(classes):
     minimal = {}
     kappa = 0

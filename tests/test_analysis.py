@@ -8,7 +8,7 @@ from factorbench.core import FiniteMonoid
 from factorbench.corpus import corpus_members
 from factorbench.factorization import AtomAnalysis
 from factorbench.power import atomicity_criterion, build_reduced_power_monoid, kappa_report
-from oracles import path_catalog, potential_labeling, pumpable_vertex
+from oracles import path_catalog, potential_labeling, pumpable_vertex, tuple_layered_catalog
 from test_random_monoids import INSTANCES
 
 
@@ -37,6 +37,57 @@ def test_catalog_matches_path_oracle(sample_corpus):
             if cat.classes_of(x)
         }
         assert (got, cat.kappa) == path_catalog(H), name
+
+
+def _catalog_pairs(H):
+    cat = fb.minimal_catalog(H)
+    got = {x: [(e.counts, e.representative) for e in cat.classes_of(x)] for x in H.elements()}
+    return got, cat.kappa
+
+
+def test_packed_catalog_matches_tuple_scan(sample_corpus):
+    monoids = sample_corpus + corpus_members(3)
+    monoids += [(f"seed{seed}", H) for seed, H in INSTANCES]
+    monoids += [(f"P(C{m})", build_reduced_power_monoid(fb.cyclic(m)).result) for m in range(4, 8)]
+    monoids += [
+        ("P(N3)", build_reduced_power_monoid(fb.null_monoid(1)).result),
+        ("P(N4)", build_reduced_power_monoid(fb.null_monoid(2)).result),
+        ("P(C2xC2)", build_reduced_power_monoid(fb.direct_product(fb.cyclic(2), fb.cyclic(2))).result),
+    ]
+    monoids += [(f"null({k})", fb.null_monoid(k)) for k in (5, 20, 60)]
+    for name, H in monoids:
+        expected = tuple_layered_catalog(H.table, H.atoms, H.atom_class_of)
+        assert _catalog_pairs(H) == expected, name
+
+
+def monogenic(size, index):
+    """{1, a, ..., a^(size-1)} with a^size = a^index, element i being a^i."""
+
+    def power(e):
+        return e if e < size else index + (e - index) % (size - index)
+
+    return FiniteMonoid([[power(i + j) for j in range(size)] for i in range(size)])
+
+
+def test_catalog_field_width_on_monogenic_monoids():
+    # One atom class whose count runs up to |H| - 1.  With index size - 1 the
+    # monoid is nilpotent, {1, a, ..., a^(size-2), 0}; with index 2 the step
+    # a^(size-1) * a = a^2 makes a candidate counting |H|, which the guard
+    # bit must still compare correctly against (2,).
+    for size in range(3, 42):
+        for index in (2, size - 1):
+            H = monogenic(size, index)
+            assert H.atoms == (1,), (size, index)
+            got, kappa = _catalog_pairs(H)
+            assert got == {x: [((x,), (1,) * x)] for x in H.elements()}, (size, index)
+            assert kappa == size - 1
+            assert (got, kappa) == tuple_layered_catalog(H.table, H.atoms, H.atom_class_of)
+
+
+def test_catalog_of_the_one_element_monoid():
+    # no atoms, so the packed vectors have no fields at all
+    got, kappa = _catalog_pairs(fb.trivial())
+    assert (got, kappa) == ({0: [((), ())]}, 0)
 
 
 def test_analyze_searches_catalog_and_layers_once(monkeypatch, capsys):

@@ -1,12 +1,14 @@
 import pytest
 
 import factorbench as fb
+from factorbench.corpus import corpus_members
 from factorbench.errors import SizeLimit
 from factorbench.power import (
     atomicity_criterion,
     build_reduced_power_monoid,
     kappa_report,
 )
+from oracles import setwise_power_table
 
 
 def test_build_c2():
@@ -92,3 +94,23 @@ def test_atoms_of_power_c3(pow_c3):
 
 def test_units_of_power_c3(pow_c3):
     assert [pow_c3.names[u] for u in sorted(pow_c3.units)] == ["{1}"]
+
+
+def test_union_build_matches_setwise_products():
+    bases = [(name, K) for name, K in corpus_members(3) if K.size <= 6]
+    bases += [("C7", fb.cyclic(7)), ("L7", fb.null_monoid(5))]
+    for name, K in bases:
+        build = build_reduced_power_monoid(K)
+        table, names, subset_of = setwise_power_table(K.table, K.names)
+        assert build.result.table == tuple(map(tuple, table)), name
+        assert build.result.names == tuple(names), name
+        assert build.subset_of == tuple(subset_of), name
+
+
+def test_power_monoid_of_the_one_element_base():
+    build = build_reduced_power_monoid(fb.trivial())
+    assert build.result.table == ((0,),)
+    assert build.result.names == ("{1}",)
+    assert build.subset_of == (frozenset({0}),)
+    rep = kappa_report(fb.trivial())
+    assert (rep.kappa, rep.bound, rep.attains_bound) == (0, 0, True)
