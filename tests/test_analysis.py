@@ -75,7 +75,7 @@ def test_catalog_field_width_on_monogenic_monoids():
     # a^(size-1) * a = a^2 makes a candidate counting |H|, which the guard
     # bit must still compare correctly against (2,).
     for size in range(3, 42):
-        for index in (2, size - 1):
+        for index in {2, size - 1}:
             H = monogenic(size, index)
             assert H.atoms == (1,), (size, index)
             got, kappa = _catalog_pairs(H)
