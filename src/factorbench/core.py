@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
+from operator import itemgetter, mul
 
 from .errors import IndexOutOfRange, NoIdentity, NotAssociative, SizeLimit
 
@@ -107,7 +108,12 @@ def _greedy_generators(rows) -> tuple[int, ...]:
 
 def _associates_on(rows, gens) -> bool:
     """Light's associativity test: (x*a)*y == x*(a*y) for every a in gens and
-    every x, y, one whole row y -> (x*a)*y per (x, a), in O(n^2 * len(gens)).
+    every x, y, one whole row y -> x*(a*y) per (x, a), n * len(gens) rows.
+
+    Each row is made at C speed.  For n <= 256 the rows are bytes, and row a
+    translated through row x (padded to 256 bytes) is y -> x*(a*y); above
+    that, itemgetter(*row a) applied to row x is the same row as a tuple.
+    Either way the Python loop runs n * len(gens) times, not n^2 * len(gens).
 
     It is exact when gens generates the monoid from the identity.  The set B
     of b with (x*b)*y == x*(b*y) for all x, y contains the identity, and it
@@ -115,10 +121,21 @@ def _associates_on(rows, gens) -> bool:
     (x*(bc))*y = ((x*b)*c)*y = (x*b)*(c*y) = x*(b*(c*y)) = x*((bc)*y).
     gens lies in B, so everything gens reaches, the whole table, lies in B.
     """
-    for rx in rows:
-        col = rx.__getitem__
+    n = len(rows)
+    if n <= 256:
+        brows = [bytes(r) for r in rows]
+        pad = bytes(256 - n)
+        tables = [b + pad for b in brows]
         for a in gens:
-            if rows[rx[a]] != tuple(map(col, rows[a])):
+            translate = brows[a].translate
+            for rx, tx in zip(rows, tables):
+                if brows[rx[a]] != translate(tx):
+                    return False
+        return True
+    for a in gens:
+        get_a = itemgetter(*rows[a])
+        for rx in rows:
+            if rows[rx[a]] != get_a(rx):
                 return False
     return True
 
@@ -137,13 +154,35 @@ def _raise_first_non_associative(rows) -> None:
                     raise NotAssociative(x, y, z)
 
 
+_INT = frozenset({int})
+
+
+@lru_cache(maxsize=64)
+def _entries(n: int) -> frozenset[int]:
+    return frozenset(range(n))
+
+
+def _check_row(x: int, row, n: int) -> None:
+    """Raise IndexOutOfRange at row x's first fault, if it has one: a wrong
+    length, or an entry that is not an int (bools refused) in [0, n).  Run
+    only on a row that failed the one-step check, which refuses int
+    subclasses, so an int subclass in range passes here."""
+    if len(row) != n:
+        raise IndexOutOfRange(f"row {x} has length {len(row)}, expected {n}")
+    for y, v in enumerate(row):
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+            raise IndexOutOfRange(f"entry ({x}, {y}) = {v!r} not in [0, {n})")
+
+
 class FiniteMonoid:
     """A finite monoid, validated at construction.
 
-    Construction checks associativity with Light's test on a greedy
-    generating set, O(n^2 * g) for g generators (g is 1 for a cyclic group
-    and n - 2 for a null monoid, which no smaller set generates), and
-    eagerly computes the unit group and the association partition.
+    Construction checks each row's entries in one step, then associativity
+    with Light's test on a greedy generating set: n * g whole rows made at
+    C speed for g generators (g is 1 for a cyclic group and n - 2 for a null
+    monoid, which no smaller set generates), O(n^2 * g) byte operations but
+    only O(n * g) steps of Python.  It eagerly computes the unit group and the
+    association partition from whole rows as well.
     Instances are immutable and all queries are pure, so they are safe to
     share between workers.
     """
@@ -158,12 +197,10 @@ class FiniteMonoid:
         n = len(rows)
         if n < 1:
             raise NoIdentity("a monoid needs at least the identity element")
+        valid = _entries(n)
         for x, row in enumerate(rows):
-            if len(row) != n:
-                raise IndexOutOfRange(f"row {x} has length {len(row)}, expected {n}")
-            for y, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                    raise IndexOutOfRange(f"entry ({x}, {y}) = {v!r} not in [0, {n})")
+            if not (len(row) == n and _INT.issuperset(map(type, row)) and valid.issuperset(row)):
+                _check_row(x, row, n)
         for x in range(n):
             if rows[0][x] != x or rows[x][0] != x:
                 raise NoIdentity(f"element 0 is not a two-sided identity (fails at {x})")
@@ -232,26 +269,31 @@ class FiniteMonoid:
     # -- cached structure ----------------------------------------------
 
     def _compute_units(self):
-        n = self.size
+        # In a finite monoid u*v == 1 forces v*u == 1 and a unique v, so the
+        # first 1 in row u is u's inverse if u has one.
         t = self.table
         inverse = {}
-        for u in range(n):
-            for v in range(n):
-                if t[u][v] == 0 and t[v][u] == 0:
+        for u, row in enumerate(t):
+            if 0 in row:
+                v = row.index(0)
+                if t[v][u] == 0:
                     inverse[u] = v
-                    break
         return frozenset(inverse), inverse
 
     def _compute_association(self):
         n = self.size
         t = self.table
         units = sorted(self.units)
+        if len(units) == 1:
+            return AssociationPartition(tuple(range(n)), tuple((x,) for x in range(n)))
+        at_units = itemgetter(*units)
         class_of = [-1] * n
         classes = []
         for x in range(n):
             if class_of[x] >= 0:
                 continue
-            orbit = sorted({t[t[u][x]][v] for u in units for v in units})
+            left = {t[u][x] for u in units}
+            orbit = sorted(set().union(*(at_units(t[y]) for y in left)))
             idx = len(classes)
             for y in orbit:
                 class_of[y] = idx
@@ -261,8 +303,13 @@ class FiniteMonoid:
     @cached_property
     def atoms(self) -> tuple[int, ...]:
         """Non-units that are not a product of two non-units."""
+        t = self.table
         nonunits = [x for x in self.elements() if x not in self.units]
-        products = {self.table[x][y] for x in nonunits for y in nonunits}
+        if len(nonunits) < 2:
+            products = {t[x][x] for x in nonunits}
+        else:
+            at_nonunits = itemgetter(*nonunits)
+            products = set().union(*(at_nonunits(t[x]) for x in nonunits))
         return tuple(a for a in nonunits if a not in products)
 
     @cached_property
@@ -373,7 +420,11 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
     The acyclic (u, x, v) scan ends inside the u = 0 slice, because a finite
     monoid that is not a group has a non-unit idempotent e (a power of any
     non-unit) and (0, e, e) is a witness; so it is O(n^2).
-    unit_cancellative, normalizing, commutative: O(n^2) scans.
+    unit_cancellative: an O(n^2) scan, skipped when every element is a unit
+    (its witness needs a non-unit).  normalizing: skipped in a group, where
+    aH = H = Ha; otherwise each row's set against its column's.
+    commutative: each row against its column, both taken whole at C speed,
+    then the first differing entry of the first differing row.
     reduced, group: read off the unit group.
     """
     n = H.size
@@ -395,7 +446,7 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
     if acyclic_wit:
         wit["acyclic"] = acyclic_wit
 
-    uc_wit = next(
+    uc_wit = None if len(un) == n else next(
         (
             (x, y)
             for x in rng
@@ -420,19 +471,15 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
     if canc_wit:
         wit["cancellative"] = canc_wit
 
-    norm_wit = next(
-        (
-            (a,)
-            for a in rng
-            if {t[a][x] for x in rng} != {t[x][a] for x in rng}
-        ),
-        None,
+    norm_wit = None if len(un) == n else next(
+        ((a,) for a in rng if set(t[a]) != set(map(itemgetter(a), t))), None
     )
     if norm_wit:
         wit["normalizing"] = norm_wit
 
-    comm_wit = next(
-        ((x, y) for x in rng for y in rng if t[x][y] != t[y][x]), None
+    x = next((x for x in rng if t[x] != tuple(map(itemgetter(x), t))), None)
+    comm_wit = None if x is None else next(
+        (x, y) for y in rng if t[x][y] != t[y][x]
     )
     if comm_wit:
         wit["commutative"] = comm_wit
@@ -613,15 +660,22 @@ def gl(n: int, m: int) -> FiniteMonoid:
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     mats.remove(ident)
     mats.insert(0, ident)
-    pos = {a: i for i, a in enumerate(mats)}
-
-    def matmul(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) % m for j in range(n))
-            for i in range(n)
-        )
-
-    table = [[pos[matmul(a, b)] for b in mats] for a in mats]
+    # A matrix is keyed by the indices of its columns among all m^n column
+    # vectors.  The columns of a*b are a's images of b's columns, so the fill
+    # computes m^n images per matrix and then one dict lookup per entry.
+    vecs = list(product(range(m), repeat=n))
+    vec_index = {v: i for i, v in enumerate(vecs)}
+    keys = [
+        tuple(vec_index[tuple(row[j] for row in a)] for j in range(n)) for a in mats
+    ]
+    pos = {k: i for i, k in enumerate(keys)}
+    table = []
+    for a in mats:
+        image = [
+            vec_index[tuple(sum(map(mul, row, v)) % m for row in a)]
+            for v in vecs
+        ]
+        table.append([pos[tuple(map(image.__getitem__, k))] for k in keys])
     names = tuple(
         "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in a) + "]"
         for a in mats

@@ -6,6 +6,7 @@ no shared code paths with the implementations under test.
 
 import re
 from itertools import product
+from math import gcd
 from operator import le
 from random import Random
 
@@ -20,6 +21,81 @@ def associativity_triples(table):
                 if table[table[x][y]][z] != table[x][table[y][z]]:
                     bad.append((x, y, z))
     return bad
+
+
+def row_map_light_test(rows, gens):
+    """Light's test row by row through the map builtin: (x*a)*y == x*(a*y)
+    for every a in gens and every x, y, n^2 * len(gens) subscripts in all."""
+    for rx in rows:
+        col = rx.__getitem__
+        for a in gens:
+            if rows[rx[a]] != tuple(map(col, rows[a])):
+                return False
+    return True
+
+
+def entry_scan(table):
+    """The message of the first fault of a square table of element indices,
+    row by row and entry by entry: a row of the wrong length, or an entry
+    that is not an int (bools refused) in [0, n).  None if there is none."""
+    n = len(table)
+    for x, row in enumerate(table):
+        if len(row) != n:
+            return f"row {x} has length {len(row)}, expected {n}"
+        for y, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                return f"entry ({x}, {y}) = {v!r} not in [0, {n})"
+    return None
+
+
+def association_orbits(table, units):
+    """The two-sided associate classes u*x*v (u, v units) as (class_of,
+    classes), classes ordered by smallest member, each orbit by a set of all
+    |units|^2 sandwiches."""
+    n = len(table)
+    units = sorted(units)
+    class_of = [-1] * n
+    classes = []
+    for x in range(n):
+        if class_of[x] < 0:
+            orbit = sorted({table[table[u][x]][v] for u in units for v in units})
+            for y in orbit:
+                class_of[y] = len(classes)
+            classes.append(tuple(orbit))
+    return tuple(class_of), tuple(classes)
+
+
+def _det(mat, m):
+    if len(mat) == 1:
+        return mat[0][0] % m
+    total = 0
+    for j, a in enumerate(mat[0]):
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        total += (-1) ** j * a * _det(minor, m)
+    return total % m
+
+
+def matmul_gl_table(n, m):
+    """The table of the invertible n-by-n matrices over Z/m, listed as in
+    product(range(m), repeat=n*n) with the identity moved first, filled by
+    one tuple matrix product per entry."""
+    mats = [
+        tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        for flat in product(range(m), repeat=n * n)
+    ]
+    mats = [a for a in mats if gcd(_det([list(r) for r in a], m), m) == 1]
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    mats.remove(ident)
+    mats.insert(0, ident)
+    pos = {a: i for i, a in enumerate(mats)}
+
+    def matmul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) % m for j in range(n))
+            for i in range(n)
+        )
+
+    return [[pos[matmul(a, b)] for b in mats] for a in mats]
 
 
 def naive_battery(table):

@@ -1,16 +1,22 @@
 import json
+from enum import IntEnum
 
 import pytest
 
 import factorbench as fb
-from factorbench.core import FiniteMonoid, dump_cayley, monoid_from_dict
+from factorbench.core import AssociationPartition, FiniteMonoid, dump_cayley, monoid_from_dict
+from factorbench.corpus import corpus_members
 from factorbench.errors import IndexOutOfRange, NoIdentity, NotAssociative, SizeLimit
 from oracles import (
+    association_orbits,
     associativity_triples,
     brute_atoms,
     brute_divides,
     brute_units,
+    entry_scan,
+    matmul_gl_table,
 )
+from test_random_monoids import INSTANCES
 
 N3_TABLE = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
 
@@ -44,6 +50,71 @@ def test_identity_violation_rejected():
 def test_out_of_range_rejected():
     with pytest.raises(IndexOutOfRange):
         FiniteMonoid([[0, 1], [1, 7]])
+
+
+class Letter(IntEnum):
+    A = 1
+    B = 2
+
+
+C4_TABLE = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+
+
+def with_entry(x, y, v, table=C4_TABLE):
+    out = [list(row) for row in table]
+    out[x][y] = v
+    return out
+
+
+MALFORMED = {
+    "bool": with_entry(1, 2, True),
+    "bool zero": with_entry(3, 3, False),
+    "float": with_entry(2, 1, 1.0),
+    "negative": with_entry(1, 3, -1),
+    "n": with_entry(2, 2, 4),
+    "huge": with_entry(1, 1, 10**30),
+    "string": with_entry(3, 1, "1"),
+    "None": with_entry(1, 2, None),
+    "unhashable": with_entry(2, 3, [1]),
+    "short row": [[0, 1, 2, 3], [1, 2, 3], [2, 3, 0, 1], [3, 0, 1, 2]],
+    "long row": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1, 2], [3, 0, 1, 2]],
+    "short row after a bad entry": with_entry(1, 3, "0")[:3] + [[3, 0, 1]],
+    "long row after a bad entry": with_entry(2, 0, 2.0)[:3] + [[3, 0, 1, 2, 3]],
+    "bad entry after a short row": with_entry(3, 0, True)[:1] + [[1, 2]] + C4_TABLE[2:3] + [[3, 0, 1, 2.5]],
+    "two bad entries": with_entry(1, 2, -1, with_entry(1, 1, 7)),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_entry_raises_like_the_entry_scan(name):
+    table = MALFORMED[name]
+    with pytest.raises(IndexOutOfRange) as exc:
+        FiniteMonoid(table)
+    assert str(exc.value) == entry_scan(table)
+
+
+def test_int_subclass_entries_are_accepted():
+    table = with_entry(1, 1, Letter.B, with_entry(3, 2, Letter.A))
+    assert entry_scan(table) is None
+    H = FiniteMonoid(table)
+    assert H.table == tuple(map(tuple, C4_TABLE))
+    assert fb.property_battery(H).group
+
+
+@pytest.mark.parametrize("n,m", [(1, 7), (2, 3), (2, 5), (3, 2)])
+def test_gl_table_matches_matrix_products(n, m):
+    assert fb.gl(n, m).table == tuple(map(tuple, matmul_gl_table(n, m)))
+
+
+def test_units_and_association_match_sandwich_scan(sample_corpus):
+    monoids = sample_corpus + corpus_members(3) + [(f"seed{s}", H) for s, H in INSTANCES]
+    monoids += [("gl(2,3)", fb.gl(2, 3)), ("C2xN3", fb.direct_product(fb.cyclic(2), fb.null_monoid(1)))]
+    for name, H in monoids:
+        t = H.table
+        units = brute_units(t)
+        assert H.units == units, name
+        assert all(t[u][v] == 0 == t[v][u] for u, v in H.inverse.items()), name
+        assert H.association == AssociationPartition(*association_orbits(t, units)), name
 
 
 def test_instance_catalog():

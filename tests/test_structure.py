@@ -1,19 +1,22 @@
 """The structure layer against the exhaustive scans it replaced: Light's
-associativity test names the same first bad triple as the full triple scan,
-the property battery gives the flags and witnesses of oracles.naive_battery,
-and neither runs a triple loop on a group."""
+associativity test names the same first bad triple as the full triple scan
+and agrees with the row-by-row map version on both of its kernels, the
+property battery gives the flags and witnesses of oracles.naive_battery,
+and neither does more than its bound of table subscripts."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factorbench as fb
+from factorbench import core
 from factorbench.core import FiniteMonoid
 from factorbench.corpus import corpus_members
 from factorbench.errors import NotAssociative
-from oracles import associativity_triples, naive_battery
-from test_random_monoids import INSTANCES
+from oracles import associativity_triples, naive_battery, row_map_light_test
+from test_random_monoids import INSTANCES, random_transformation_monoid
 
 
 def cyclic_table(m):
@@ -168,3 +171,85 @@ def test_no_triple_loop_on_a_group(monkeypatch):
     assert rep.group and rep.acyclic and rep.cancellative
     assert counter[0] <= 10 * n * n  # a triple scan takes at least n^3 = 110592
 
+
+
+def test_battery_is_quadratic_on_a_non_group():
+    rng = random.Random(5)
+    H = FiniteMonoid(relabel(random_transformation_monoid(23, points=5).table, rng))
+    n = H.size
+    assert n == 212 and len(H.units) < n
+    expected = naive_battery(H.table)
+    counter = [0]
+    H.table = CountingRow((CountingRow(r, counter) for r in H.table), counter)
+    assert fb.property_battery(H).witnesses == expected
+    assert counter[0] <= 10 * n * n
+
+
+def test_light_test_makes_each_row_in_one_step():
+    rng = random.Random(11)
+    table = tuple(map(tuple, relabel(random_transformation_monoid(23, points=5).table, rng)))
+    n = len(table)
+    gens = core._greedy_generators(table)
+    counter = [0]
+    rows = tuple(CountingRow(r, counter) for r in table)
+    assert core._associates_on(rows, gens)
+    # one subscript per (x, a) for x*a; the map version makes n per row
+    assert counter[0] <= 2 * n * len(gens) < n * n * len(gens)
+    assert row_map_light_test(table, gens)
+
+
+def monogenic_table(index, period):
+    """{1, x, ..., x^(index + period - 1)} with x^(index + period) = x^index."""
+    n = index + period
+
+    def power(k):
+        return k if k < n else index + (k - index) % period
+
+    return [[power(a + b) for b in range(n)] for a in range(n)]
+
+
+def band_with_identity(a, b):
+    """The a-by-b rectangular band, (i, j)(k, l) = (i, l), with an identity
+    adjoined as element 0."""
+    n = a * b + 1
+    table = [list(range(n))]
+    for p in range(a * b):
+        i = p // b
+        table.append([p + 1] + [i * b + q % b + 1 for q in range(a * b)])
+    return table
+
+
+def tables_of_order(n):
+    return [
+        monogenic_table(n // 3, n - n // 3),
+        band_with_identity(*{255: (2, 127), 256: (15, 17), 257: (16, 16)}[n]),
+    ]
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_light_kernels_agree_with_row_map_version(n):
+    rng = random.Random(n)
+    for table in tables_of_order(n):
+        table = relabel(table, rng)
+        gens = core._greedy_generators(table)
+        rows = tuple(map(tuple, table))
+        assert core._associates_on(rows, gens) and row_map_light_test(rows, gens)
+        for _ in range(4):
+            x, y = rng.randrange(1, n), rng.randrange(1, n)
+            bad = mutated_group_table(table, x, y, rng.randrange(n))
+            rows = tuple(map(tuple, bad))
+            gens = core._greedy_generators(rows)
+            assert core._associates_on(rows, gens) == row_map_light_test(rows, gens)
+            some = rng.sample(range(n), 5)
+            assert core._associates_on(rows, some) == row_map_light_test(rows, some)
+
+
+def test_light_test_matches_triple_scan_on_small_tables():
+    rng = random.Random(3)
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        table = identity_fixed_table(n, [rng.randrange(n) for _ in range((n - 1) ** 2)])
+        rows = tuple(map(tuple, table))
+        gens = core._greedy_generators(rows)
+        assert core._associates_on(rows, gens) == (not associativity_triples(table))
+        assert core._associates_on(rows, gens) == row_map_light_test(rows, gens)
