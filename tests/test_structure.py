@@ -59,6 +59,9 @@ def relabel(table, rng):
 
 def assert_validation_matches_oracle(table):
     bad = associativity_triples(table)
+    rows = tuple(map(tuple, table))
+    gens = core._greedy_generators(rows)
+    assert core._associates_on(rows, gens) == (not bad) == row_map_light_test(rows, gens)
     try:
         FiniteMonoid(table)
     except NotAssociative as exc:
@@ -243,13 +246,3 @@ def test_light_kernels_agree_with_row_map_version(n):
             some = rng.sample(range(n), 5)
             assert core._associates_on(rows, some) == row_map_light_test(rows, some)
 
-
-def test_light_test_matches_triple_scan_on_small_tables():
-    rng = random.Random(3)
-    for _ in range(2000):
-        n = rng.randint(1, 6)
-        table = identity_fixed_table(n, [rng.randrange(n) for _ in range((n - 1) ** 2)])
-        rows = tuple(map(tuple, table))
-        gens = core._greedy_generators(rows)
-        assert core._associates_on(rows, gens) == (not associativity_triples(table))
-        assert core._associates_on(rows, gens) == row_map_light_test(rows, gens)
