@@ -8,30 +8,22 @@ from .core import (
     FiniteMonoid,
     cyclic,
     direct_product,
-    divisor_closed_submonoid,
     full_transformation,
     gl,
     load_cayley,
     null_monoid,
-    order_and_idempotents,
     property_battery,
-    reduce_generating_set,
     save_cayley,
-    semigroup_closure,
-    submonoid,
     trivial,
     two_element_with_zero,
 )
 from .factorization import (
-    Comparison,
     IntegerFragment,
     LengthSet,
     MinimalCatalog,
     classify_arithmetic,
-    compare,
     enumerate_factorizations,
     factorial_battery,
-    is_minimal,
     is_powerful,
     is_prime,
     kappa_and_dichotomy,

@@ -65,13 +65,6 @@ class PropertyReport:
     witnesses: dict[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class OrderReport:
-    orders: tuple[int, ...]
-    idempotents: tuple[int, ...]
-    nontrivial_idempotents: tuple[int, ...]
-
-
 def _greedy_generators(rows) -> tuple[int, ...]:
     """A generating set of the monoid with identity 0: repeatedly take the
     smallest element not yet reached and close under s -> s*g for the chosen
@@ -234,14 +227,6 @@ class FiniteMonoid:
     def is_unit(self, x: int) -> bool:
         return x in self.units
 
-    def element_order(self, x: int) -> int:
-        seen = set()
-        p = x
-        while p not in seen:
-            seen.add(p)
-            p = self.table[p][x]
-        return len(seen)
-
     def divides(self, x: int, y: int) -> bool:
         """x divides y: y = u*x*v for some u, v in H."""
         return y in self._two_sided_orbits[x]
@@ -254,7 +239,7 @@ class FiniteMonoid:
         try:
             return self.names.index(name)
         except ValueError:
-            raise KeyError(f"no element named {name!r}") from None
+            raise ValueError(f"no element named {name!r}") from None
 
     def completion_test(self, x: int):
         return self.analysis.completion_test(x)
@@ -365,50 +350,6 @@ class FiniteMonoid:
 # -- structural analyses ------------------------------------------------
 
 
-def order_and_idempotents(H: FiniteMonoid) -> OrderReport:
-    orders = tuple(H.element_order(x) for x in H.elements())
-    idem = tuple(x for x in H.elements() if H.table[x][x] == x)
-    return OrderReport(orders, idem, tuple(x for x in idem if x != 0))
-
-
-def semigroup_closure(H: FiniteMonoid, seed) -> frozenset[int]:
-    """Smallest subset containing seed and closed under the product (no
-    identity unless generated)."""
-    cur = set(seed)
-    work = list(cur)
-    t = H.table
-    while work:
-        z = work.pop()
-        for x in tuple(cur):
-            for p in (t[z][x], t[x][z]):
-                if p not in cur:
-                    cur.add(p)
-                    work.append(p)
-    return frozenset(cur)
-
-
-def divisor_closed_submonoid(H: FiniteMonoid, xs) -> frozenset[int]:
-    """Least submonoid containing xs that also contains every divisor of each
-    of its elements; computed by fixpoint iteration."""
-    cur = {0} | set(xs)
-    t = H.table
-    changed = True
-    while changed:
-        changed = False
-        for x in tuple(cur):
-            for y in tuple(cur):
-                p = t[x][y]
-                if p not in cur:
-                    cur.add(p)
-                    changed = True
-        for m in tuple(cur):
-            for d in H.elements():
-                if d not in cur and H.divides(d, m):
-                    cur.add(d)
-                    changed = True
-    return frozenset(cur)
-
-
 def property_battery(H: FiniteMonoid) -> PropertyReport:
     """Decide the structural flags, recording the first counterexample
     (lexicographic by element indices) for each false flag.
@@ -502,53 +443,6 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
         group=grp_wit is None,
         witnesses=wit,
     )
-
-
-def reduce_generating_set(H: FiniteMonoid, gens) -> frozenset[int]:
-    """Shrink gens to a subset generating the same unit-sandwiched
-    subsemigroup, with no member generated by the sandwiched others.
-
-    Removal is iterative in ascending element order, so the result is
-    deterministic.
-    """
-    part = H.association
-    current = sorted(set(gens))
-
-    def sandwiched(elems):
-        out = set()
-        for b in elems:
-            out.update(part.classes[part.class_of[b]])
-        return out
-
-    changed = True
-    while changed:
-        changed = False
-        for a in current:
-            rest = [b for b in current if part.class_of[b] != part.class_of[a]]
-            if a in semigroup_closure(H, sandwiched(rest)):
-                current.remove(a)
-                changed = True
-                break
-    return frozenset(current)
-
-
-def submonoid(H: FiniteMonoid, subset) -> tuple[FiniteMonoid, tuple[int, ...]]:
-    """Restrict H to a product-closed subset containing the identity.
-
-    Returns the restricted monoid plus the list mapping new indices back to
-    elements of H (new index 0 is the identity).
-    """
-    elems = sorted(set(subset))
-    if not elems or elems[0] != 0:
-        raise ValueError("subset must contain the identity 0")
-    pos = {e: i for i, e in enumerate(elems)}
-    for x in elems:
-        for y in elems:
-            if H.table[x][y] not in pos:
-                raise ValueError(f"subset not closed: {x}*{y} escapes")
-    table = [[pos[H.table[x][y]] for y in elems] for x in elems]
-    names = tuple(H.names[e] for e in elems)
-    return FiniteMonoid(table, names), tuple(elems)
 
 
 def direct_product(H: FiniteMonoid, K: FiniteMonoid) -> FiniteMonoid:

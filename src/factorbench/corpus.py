@@ -13,7 +13,6 @@ from .core import (
     direct_product,
     gl,
     null_monoid,
-    order_and_idempotents,
     property_battery,
     two_element_with_zero,
 )
@@ -77,7 +76,6 @@ def scan_member(name: str, H: FiniteMonoid, horizon: int = SUBADDITIVITY_HORIZON
     violations = []
     rep = property_battery(H)
     flags = classify_arithmetic(H)
-    oi = order_and_idempotents(H)
 
     if rep.acyclic != rep.group:
         violations.append(f"{name}: acyclic={rep.acyclic} but group={rep.group}")
@@ -85,10 +83,10 @@ def scan_member(name: str, H: FiniteMonoid, horizon: int = SUBADDITIVITY_HORIZON
         violations.append(f"{name}: bf={flags.bf} but ff={flags.ff}")
     if rep.acyclic and not rep.unit_cancellative:
         violations.append(f"{name}: acyclic but not unit-cancellative")
-    if rep.acyclic and oi.nontrivial_idempotents:
-        violations.append(
-            f"{name}: acyclic with non-trivial idempotents {oi.nontrivial_idempotents}"
-        )
+    if rep.acyclic:
+        idempotents = tuple(x for x, row in enumerate(H.table) if x and row[x] == x)
+        if idempotents:
+            violations.append(f"{name}: acyclic with non-trivial idempotents {idempotents}")
     lsets = H.analysis.length_sets
     for x in H.elements():
         lx = lsets[x].up_to(horizon)

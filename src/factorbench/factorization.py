@@ -1,6 +1,5 @@
 """Factorization into atoms: enumeration, length sets, congruence classes,
-the domination preorder and minimal catalogs, primes, powerful atoms, and the
-classifier batteries.
+minimal catalogs, primes, powerful atoms, and the classifier batteries.
 
 Every operation here works over a "factorization system": a carrier exposing
 identity, mul, is_unit, elements, divides, an atom alphabet, its associate
@@ -18,7 +17,6 @@ word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from heapq import merge
 from itertools import groupby
@@ -266,55 +264,6 @@ class ArithmeticFlags:
 def classify_arithmetic(H) -> ArithmeticFlags:
     """Decide atomic/BF/FF/HF for a finite carrier (see AtomAnalysis.flags)."""
     return H.analysis.flags
-
-
-# -- the domination preorder -------------------------------------------------
-
-
-class Comparison(Enum):
-    EQUIVALENT = "equivalent"
-    A_STRICTLY_BELOW = "a_strictly_below"
-    B_STRICTLY_BELOW = "b_strictly_below"
-    INCOMPARABLE = "incomparable"
-    DIFFERENT_PRODUCTS = "different_products"
-
-
-def compare(S, wa, wb) -> Comparison:
-    """Compare two atom words under the domination preorder.
-
-    Domination: equal evaluations, and the associate-class multiset of the
-    shorter word embeds into that of the longer.  Mutual domination collapses
-    to congruence (same evaluation and the same class-count vector).
-    """
-    wa = check_atom_word(S, wa)
-    wb = check_atom_word(S, wb)
-    if pi_eval(S, wa) != pi_eval(S, wb):
-        return Comparison.DIFFERENT_PRODUCTS
-    ca = class_counts(S, wa)
-    cb = class_counts(S, wb)
-    if ca == cb:
-        return Comparison.EQUIVALENT
-    if all(a <= b for a, b in zip(ca, cb)):
-        return Comparison.A_STRICTLY_BELOW
-    if all(b <= a for a, b in zip(ca, cb)):
-        return Comparison.B_STRICTLY_BELOW
-    return Comparison.INCOMPARABLE
-
-
-def is_minimal(S, w) -> bool:
-    """True iff no strictly shorter word with the same evaluation embeds into
-    w class-wise.  Strict domination forces strictly smaller length, so the
-    search is bounded by len(w) - 1."""
-    w = check_atom_word(S, w)
-    if len(w) == 0:
-        return True
-    target = pi_eval(S, w)
-    cw = class_counts(S, w)
-    for v in enumerate_factorizations(S, target, len(w) - 1):
-        cv = class_counts(S, v)
-        if all(a <= b for a, b in zip(cv, cw)):
-            return False
-    return True
 
 
 # -- minimal catalog and kappa ------------------------------------------------

@@ -5,6 +5,7 @@ no shared code paths with the implementations under test.
 """
 
 import re
+from collections import Counter
 from itertools import product
 from math import gcd
 from operator import le
@@ -164,6 +165,84 @@ def brute_divides(table, x, y):
     return any(table[table[u][x]][v] == y for u in range(n) for v in range(n))
 
 
+def element_order(table, x):
+    """|{x, x^2, x^3, ...}|, the number of distinct positive powers of x."""
+    powers = []
+    p = x
+    while p not in powers:
+        powers.append(p)
+        p = table[p][x]
+    return len(powers)
+
+
+def idempotents(table):
+    """Every e with e*e == e, in ascending order (the identity 0 first)."""
+    return tuple(e for e in range(len(table)) if table[e][e] == e)
+
+
+def semigroup_closure(table, seed):
+    """The smallest subset containing seed and closed under the product (the
+    identity only if generated), by adding all pairwise products until none
+    is new."""
+    cur = set(seed)
+    while True:
+        new = {table[x][y] for x in cur for y in cur} - cur
+        if not new:
+            return frozenset(cur)
+        cur |= new
+
+
+def divisor_closed_closure(table, xs):
+    """The least submonoid containing xs that also contains every divisor of
+    each of its elements, by adding products and divisors until none is
+    new."""
+    n = len(table)
+    cur = {0} | set(xs)
+    while True:
+        new = {table[x][y] for x in cur for y in cur}
+        new |= {d for m in cur for d in range(n) if brute_divides(table, d, m)}
+        if new <= cur:
+            return frozenset(cur)
+        cur |= new
+
+
+def reduce_generating_set(table, class_of, classes, gens):
+    """Shrink gens to a subset generating the same unit-sandwiched
+    subsemigroup (each member replaced by its associate class), with no
+    member generated by the sandwiched others.  The first such member in
+    ascending order is dropped until none is left, so the result is
+    deterministic."""
+
+    def sandwiched(elems):
+        return {y for b in elems for y in classes[class_of[b]]}
+
+    current = sorted(set(gens))
+    while True:
+        for a in current:
+            rest = [b for b in current if class_of[b] != class_of[a]]
+            if a in semigroup_closure(table, sandwiched(rest)):
+                current.remove(a)
+                break
+        else:
+            return frozenset(current)
+
+
+def restrict_table(table, subset):
+    """The table of a product-closed subset containing the identity, its
+    members renumbered in ascending order, and the tuple mapping each new
+    index back (new index 0 is the identity).  ValueError if the subset
+    lacks the identity or a product escapes it."""
+    back = tuple(sorted(set(subset)))
+    if not back or back[0] != 0:
+        raise ValueError("subset must contain the identity 0")
+    pos = {e: i for i, e in enumerate(back)}
+    try:
+        rows = [[pos[table[x][y]] for y in back] for x in back]
+    except KeyError as exc:
+        raise ValueError(f"subset not closed: {exc.args[0]} escapes") from None
+    return rows, back
+
+
 def potential_labeling(H, a):
     """Decide whether the atom a is powerful by one breadth-first potential
     labeling of s -> s*b from the identity, weight 1 on the atoms b
@@ -226,6 +305,43 @@ def brute_lengths(H, x, horizon):
         if x in layer:
             found.add(k)
     return found
+
+
+def _word_value(table, w):
+    x = 0
+    for a in w:
+        x = table[x][a]
+    return x
+
+
+def domination(H, wa, wb):
+    """Compare two atom words under the domination preorder: equal
+    evaluations, and the associate-class multiset of one word inside the
+    other's.  Returns "different_products", "equivalent" (mutual
+    domination), "a_strictly_below", "b_strictly_below" or "incomparable"."""
+    if _word_value(H.table, wa) != _word_value(H.table, wb):
+        return "different_products"
+    ca = Counter(H.atom_class_of[a] for a in wa)
+    cb = Counter(H.atom_class_of[a] for a in wb)
+    if ca == cb:
+        return "equivalent"
+    if ca <= cb:
+        return "a_strictly_below"
+    if cb <= ca:
+        return "b_strictly_below"
+    return "incomparable"
+
+
+def is_minimal_word(H, w):
+    """No strictly shorter atom word with the same evaluation has its class
+    multiset inside w's, by trying every atom word of each shorter length."""
+    x = _word_value(H.table, w)
+    cw = Counter(H.atom_class_of[a] for a in w)
+    return not any(
+        _word_value(H.table, v) == x and Counter(H.atom_class_of[a] for a in v) <= cw
+        for k in range(len(w))
+        for v in product(H.atoms, repeat=k)
+    )
 
 
 def word_catalog(H, max_words=200_000):

@@ -267,7 +267,7 @@ def test_error_paths(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "--cyclic", "100000")
     assert code == 1 and "above the cap" in err
     code, _, err = run_cli(capsys, "factorize", "zz", "--null", "1")
-    assert code == 1  # unknown element name
+    assert code == 1 and err == "factorbench: no element named 'zz'\n"
     for argv, message in (
         (["present", "congruent", "x", "--family", "ladder"], "arguments are required: WORD"),
         (["present", "nf", "x*z", "y*y", "--family", "ladder"], "unrecognized arguments: y*y"),

@@ -13,8 +13,14 @@ from oracles import (
     brute_atoms,
     brute_divides,
     brute_units,
+    divisor_closed_closure,
+    element_order,
     entry_scan,
+    idempotents,
     matmul_gl_table,
+    reduce_generating_set,
+    restrict_table,
+    semigroup_closure,
 )
 from test_random_monoids import INSTANCES
 
@@ -229,16 +235,16 @@ def test_association_partition(n3):
 
 
 def test_divisor_closed_submonoid(n3):
-    assert fb.divisor_closed_submonoid(n3, {1}) == {0, 1, 2}
-    assert fb.divisor_closed_submonoid(n3, set()) == {0}
+    assert divisor_closed_closure(n3.table, {1}) == {0, 1, 2}
+    assert divisor_closed_closure(n3.table, set()) == {0}
     c3 = fb.cyclic(3)
-    assert fb.divisor_closed_submonoid(c3, {1}) == {0, 1, 2}
+    assert divisor_closed_closure(c3.table, {1}) == {0, 1, 2}
 
 
 def test_divisor_closed_is_minimal_fixpoint(sample_corpus):
     for name, H in sample_corpus:
         for x in H.elements():
-            M = fb.divisor_closed_submonoid(H, {x})
+            M = divisor_closed_closure(H.table, {x})
             # closed under products and divisors
             for a in M:
                 for b in M:
@@ -322,9 +328,8 @@ def test_finite_acyclic_iff_group(sample_corpus):
 def test_acyclic_members_have_no_nontrivial_idempotents(sample_corpus):
     for name, H in sample_corpus:
         rep = fb.property_battery(H)
-        oi = fb.order_and_idempotents(H)
         if rep.acyclic:
-            assert oi.nontrivial_idempotents == (), name
+            assert idempotents(H.table) == (0,), name
 
 
 def test_atom_sandwich_stays_atomic(sample_corpus):
@@ -341,7 +346,7 @@ def test_direct_product():
     c6 = fb.direct_product(fb.cyclic(2), fb.cyclic(3))
     assert c6.size == 6
     assert fb.property_battery(c6).group
-    assert any(c6.element_order(x) == 6 for x in c6.elements())
+    assert any(element_order(c6.table, x) == 6 for x in c6.elements())
 
     n3c2 = fb.direct_product(fb.null_monoid(1), fb.cyclic(2))
     rep = fb.property_battery(n3c2)
@@ -385,16 +390,21 @@ def test_atom_transversal_property(sample_corpus):
                 assert not H.associated(a, b), name
 
 
+def _reduce(H, gens):
+    part = H.association
+    return reduce_generating_set(H.table, part.class_of, part.classes, gens)
+
+
 def test_reduce_generating_set(n3, t4):
-    assert fb.reduce_generating_set(n3, {1, 2}) == {1}
-    assert fb.reduce_generating_set(n3, set()) == set()
-    assert fb.reduce_generating_set(t4, {1, 2, 3}) == {1, 2}
+    assert _reduce(n3, {1, 2}) == {1}
+    assert _reduce(n3, set()) == set()
+    assert _reduce(t4, {1, 2, 3}) == {1, 2}
 
 
 def test_reduce_generating_set_properties(sample_corpus):
     for name, H in sample_corpus:
         full = set(x for x in H.elements() if x not in H.units)
-        reduced = fb.reduce_generating_set(H, full)
+        reduced = _reduce(H, full)
 
         def sandwiched(elems):
             out = set()
@@ -403,32 +413,51 @@ def test_reduce_generating_set_properties(sample_corpus):
             return out
 
         if full:
-            assert fb.semigroup_closure(H, sandwiched(reduced)) == fb.semigroup_closure(
-                H, sandwiched(full)
+            assert semigroup_closure(H.table, sandwiched(reduced)) == semigroup_closure(
+                H.table, sandwiched(full)
             ), name
         for a in reduced:
             rest = [b for b in reduced if not H.associated(a, b)]
-            assert a not in fb.semigroup_closure(H, sandwiched(rest)), name
+            assert a not in semigroup_closure(H.table, sandwiched(rest)), name
+
+
+def test_atoms_are_a_reduced_generating_set(sample_corpus):
+    # In an atomic monoid the non-units are generated by the atoms up to
+    # units, so a generating set of the non-units with no redundant member
+    # is a set of atoms that meets every atom class.
+    atomic = [
+        (name, H)
+        for name, H in sample_corpus + corpus_members(3)
+        if fb.classify_arithmetic(H).atomic
+    ]
+    assert len(atomic) == 8 + 18
+    for name, H in atomic:
+        units = brute_units(H.table)
+        class_of, classes = association_orbits(H.table, units)
+        full = set(H.elements()) - units
+        reduced = reduce_generating_set(H.table, class_of, classes, full)
+        assert reduced <= set(H.atoms), name
+        assert {H.atom_class_of[a] for a in reduced} == set(range(len(H.atom_classes))), name
 
 
 def test_order_and_idempotents(n3):
-    oi = fb.order_and_idempotents(n3)
-    assert oi.orders == (1, 2, 1)  # ord(a) = |{a, 0}| = 2
-    assert oi.idempotents == (0, 2)
-    assert oi.nontrivial_idempotents == (2,)
+    orders = tuple(element_order(n3.table, x) for x in n3.elements())
+    assert orders == (1, 2, 1)  # ord(a) = |{a, 0}| = 2
+    assert idempotents(n3.table) == (0, 2)
+    assert idempotents(n3.table)[1:] == (2,)
 
     c3 = fb.cyclic(3)
-    oi = fb.order_and_idempotents(c3)
-    assert oi.orders[1] == 3
-    assert oi.idempotents == (0,)
+    assert element_order(c3.table, 1) == 3
+    assert idempotents(c3.table) == (0,)
 
 
 def test_submonoid_roundtrip(n3):
-    sub, back = fb.submonoid(n3, {0, 2})
+    rows, back = restrict_table(n3.table, {0, 2})
+    sub = FiniteMonoid(rows, [n3.names[e] for e in back])
     assert sub.size == 2 and back == (0, 2)
     assert sub.table == ((0, 1), (1, 1))
     with pytest.raises(ValueError):
-        fb.submonoid(n3, {1, 2})  # identity missing
+        restrict_table(n3.table, {1, 2})  # identity missing
 
 
 def test_cayley_json_roundtrip(tmp_path, n3):

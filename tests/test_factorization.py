@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 import factorbench as fb
 from factorbench.errors import AlphabetMismatch, ExplosionGuard
+from factorbench.core import FiniteMonoid
 from factorbench.factorization import (
-    Comparison,
     IntegerFragment,
     LengthSet,
     class_counts,
@@ -17,7 +17,11 @@ from oracles import (
     brute_lengths,
     brute_ordered_factorizations,
     class_space_catalog,
+    divisor_closed_closure,
+    domination,
     integer_prime_scan,
+    is_minimal_word,
+    restrict_table,
     smallest_prime_factorization,
     word_catalog,
 )
@@ -191,10 +195,10 @@ def test_subadditivity_of_length_sets(sample_corpus):
 
 
 def test_compare_examples(t4):
-    assert fb.compare(t4, (1, 2), (1, 2, 1, 2)) is Comparison.A_STRICTLY_BELOW
-    assert fb.compare(t4, (1, 1), (1, 2)) is Comparison.INCOMPARABLE
-    assert fb.compare(t4, (1, 2), (1, 2)) is Comparison.EQUIVALENT
-    assert fb.compare(t4, (1,), (2,)) is Comparison.DIFFERENT_PRODUCTS
+    assert domination(t4, (1, 2), (1, 2, 1, 2)) == "a_strictly_below"
+    assert domination(t4, (1, 1), (1, 2)) == "incomparable"
+    assert domination(t4, (1, 2), (1, 2)) == "equivalent"
+    assert domination(t4, (1,), (2,)) == "different_products"
 
 
 @settings(max_examples=200)
@@ -204,26 +208,26 @@ def test_mutual_domination_is_congruence(sample_corpus, data):
     atoms = st.sampled_from(H.atoms)
     wa = tuple(data.draw(st.lists(atoms, max_size=5)))
     wb = tuple(data.draw(st.lists(atoms, max_size=5)))
-    result = fb.compare(H, wa, wb)
+    result = domination(H, wa, wb)
     same_class = (
         pi_eval(H, wa) == pi_eval(H, wb)
         and class_counts(H, wa) == class_counts(H, wb)
     )
-    assert (result is Comparison.EQUIVALENT) == same_class
+    assert (result == "equivalent") == same_class
 
 
 def test_is_minimal_examples(n3, t4):
-    assert fb.is_minimal(n3, (1, 1))
-    assert not fb.is_minimal(t4, (1, 1, 2))  # dominated by the shorter (1, 2)
-    assert fb.is_minimal(t4, (1, 2))
+    assert is_minimal_word(n3, (1, 1))
+    assert not is_minimal_word(t4, (1, 1, 2))  # dominated by the shorter (1, 2)
+    assert is_minimal_word(t4, (1, 2))
 
 
 def test_short_words_are_always_minimal(sample_corpus):
     for name, H in sample_corpus:
         for a in H.atoms:
-            assert fb.is_minimal(H, (a,)), name
+            assert is_minimal_word(H, (a,)), name
             for b in H.atoms:
-                assert fb.is_minimal(H, (a, b)), name
+                assert is_minimal_word(H, (a, b)), name
 
 
 def test_is_minimal_agrees_with_catalog(sample_corpus):
@@ -234,7 +238,7 @@ def test_is_minimal_agrees_with_catalog(sample_corpus):
         for x in H.elements():
             keys = {e.counts for e in cat.classes_of(x)}
             for w in fb.enumerate_factorizations(H, x, min(H.size - 1, 4)):
-                assert fb.is_minimal(H, w) == (class_counts(H, w) in keys), name
+                assert is_minimal_word(H, w) == (class_counts(H, w) in keys), name
 
 
 # -- minimal catalog, kappa, dichotomy ------------------------------------------------
@@ -290,7 +294,7 @@ def test_catalog_representatives_are_members(sample_corpus):
             for e in cat.classes_of(x):
                 assert pi_eval(H, e.representative) == x, name
                 assert class_counts(H, e.representative) == e.counts, name
-                assert fb.is_minimal(H, e.representative), name
+                assert is_minimal_word(H, e.representative), name
                 first = next(
                     w
                     for w in fb.enumerate_factorizations(H, x, sum(e.counts))
@@ -322,8 +326,9 @@ def test_dichotomy_across_corpus(sample_corpus):
 def test_divisor_closed_restriction_preserves_arithmetic(sample_corpus):
     for name, H in sample_corpus:
         for x in H.elements():
-            closed = fb.divisor_closed_submonoid(H, {x})
-            M, back = fb.submonoid(H, closed)
+            closed = divisor_closed_closure(H.table, {x})
+            rows, back = restrict_table(H.table, closed)
+            M = FiniteMonoid(rows)
             atom_back = {back[a] for a in M.atoms}
             assert atom_back == set(H.atoms) & set(closed), name
             for m_new, m_old in enumerate(back):
