@@ -114,14 +114,6 @@ def pi_eval(S, w):
     return x
 
 
-def class_counts(S, w) -> tuple[int, ...]:
-    """Letter counts of w grouped by atom associate class."""
-    counts = [0] * len(S.atom_classes)
-    for a in check_atom_word(S, w):
-        counts[S.atom_class_of[a]] += 1
-    return tuple(counts)
-
-
 # -- enumeration -----------------------------------------------------------
 
 
@@ -159,11 +151,6 @@ def enumerate_factorizations(S, x, max_len: int, word_cap: int = DEFAULT_WORD_CA
                 if admissible(nxt):
                     stack.append((nxt, length + 1, (word, a)))
     return [_letters(word) for word in found]
-
-
-def factorization_class_keys(S, x, max_len: int) -> set[tuple[int, ...]]:
-    """Distinct class-count vectors over factorizations of x up to max_len."""
-    return {class_counts(S, w) for w in enumerate_factorizations(S, x, max_len)}
 
 
 # -- length sets -----------------------------------------------------------
@@ -222,11 +209,6 @@ class LengthSet:
 
     def up_to(self, horizon: int) -> list[int]:
         return [k for k in range(horizon + 1) if k in self]
-
-    def sup(self) -> int | float:
-        if self.period:
-            return float("inf")
-        return self.finite_part[-1] if self.finite_part else 0
 
     def is_empty(self) -> bool:
         return not self.finite_part and not self.residues
@@ -377,7 +359,8 @@ def integer_class_table(limit: int) -> list[set[tuple[int, ...]] | None]:
 class FactorialFlags:
     """Unique-factorization flags, decided with built-in cross-checks.
 
-    factorial: one congruence class per non-unit (two independent routes);
+    factorial: one congruence class per non-unit, decided twice: atomic with
+    every atom powerful, and H a group (the two agree on finite monoids);
     minimally_factorial / hmf: one minimal class / one minimal length per
     non-unit; bmf / fmf: atomic with finite minimal length/class sets, which
     the finite catalog witnesses outright.
@@ -401,18 +384,13 @@ def factorial_battery(H) -> FactorialFlags:
     if weak_atom is not None:
         witnesses["non_powerful_atom"] = weak_atom
 
-    route_b = flags.bf
-    if route_b:
-        for x in nonunits:
-            bound = length_set(H, x).sup()
-            keys = factorization_class_keys(H, x, int(bound))
-            if len(keys) != 1:
-                route_b = False
-                witnesses["factorial"] = x
-                break
+    # A non-unit x of a finite monoid has a non-unit idempotent power e, and a
+    # factorization of e of length l >= 1 gives e = e^j one of length j*l for
+    # every j; so a finite monoid is factorial iff it is a group.
+    route_b = not nonunits
     if route_a != route_b:
         raise CrossCheckMismatch(
-            f"factoriality routes disagree: powerful-atoms={route_a}, class-count={route_b}"
+            f"factoriality routes disagree: powerful-atoms={route_a}, group={route_b}"
         )
 
     cat = minimal_catalog(H)
@@ -446,7 +424,8 @@ class AtomAnalysis:
     """The atom Cayley digraph s -> s*a of a finite monoid, kept as
     H.analysis, with each part computed on first use.  Cross-check sides
     share only the successor table: BF reads the length sets, FF the strong
-    components, the factoriality routes the potentials and the words."""
+    components, the powerful-atom route of factoriality the potentials (its
+    other route reads only the unit group)."""
 
     def __init__(self, H):
         self.H = H
@@ -490,7 +469,7 @@ class AtomAnalysis:
         lsets = {}
         for x in self.H.elements():
             finite = [k for k in range(first) if x in layers[k]]
-            residues = {(k - first) % p for k in range(first, len(layers)) if x in layers[k]}
+            residues = {k % p for k in range(first, len(layers)) if x in layers[k]}
             lsets[x] = LengthSet.build(finite, first, p, residues)
         return lsets
 

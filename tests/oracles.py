@@ -307,6 +307,14 @@ def brute_lengths(H, x, horizon):
     return found
 
 
+def class_count_vector(atom_class_of, n_classes, word):
+    """Letter counts of an atom word per associate class of atoms."""
+    counts = [0] * n_classes
+    for a in word:
+        counts[atom_class_of[a]] += 1
+    return tuple(counts)
+
+
 def _word_value(table, w):
     x = 0
     for a in w:

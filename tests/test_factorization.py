@@ -2,20 +2,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import factorbench as fb
-from factorbench.errors import AlphabetMismatch, ExplosionGuard
+from factorbench.errors import AlphabetMismatch, CrossCheckMismatch, ExplosionGuard
 from factorbench.core import FiniteMonoid
+from factorbench.corpus import corpus_members
 from factorbench.factorization import (
     IntegerFragment,
     LengthSet,
-    class_counts,
-    factorization_class_keys,
     integer_class_table,
     pi_eval,
     primes_up_to,
 )
+from factorbench.power import build_reduced_power_monoid
 from oracles import (
     brute_lengths,
     brute_ordered_factorizations,
+    class_count_vector,
     class_space_catalog,
     divisor_closed_closure,
     domination,
@@ -25,6 +26,12 @@ from oracles import (
     smallest_prime_factorization,
     word_catalog,
 )
+from test_random_monoids import INSTANCES
+from test_structure import monogenic_table
+
+
+def class_vector(S, w):
+    return class_count_vector(S.atom_class_of, len(S.atom_classes), w)
 
 
 # -- evaluation and enumeration ------------------------------------------------
@@ -110,6 +117,18 @@ def test_length_sets_match_brute_walks(sample_corpus):
         for x in H.elements():
             expected = brute_lengths(H, x, horizon)
             assert set(fb.length_set(H, x).up_to(horizon)) == expected, name
+
+
+def test_length_sets_of_monogenic_monoids():
+    # In <a | a^(m+r) = a^m> the layers repeat from length m with period r,
+    # so a^j lies in layer k >= m iff k % r == j % r: a residue offset by the
+    # preperiod is wrong whenever m % r != 0.
+    for m in range(2, 12):
+        for r in range(1, 13 - m):
+            H = FiniteMonoid(monogenic_table(m, r))
+            for x in H.elements():
+                expected = brute_lengths(H, x, 40)
+                assert set(fb.length_set(H, x).up_to(40)) == expected, (m, r, x)
 
 
 def test_length_set_canonicalization():
@@ -211,7 +230,7 @@ def test_mutual_domination_is_congruence(sample_corpus, data):
     result = domination(H, wa, wb)
     same_class = (
         pi_eval(H, wa) == pi_eval(H, wb)
-        and class_counts(H, wa) == class_counts(H, wb)
+        and class_vector(H, wa) == class_vector(H, wb)
     )
     assert (result == "equivalent") == same_class
 
@@ -238,7 +257,7 @@ def test_is_minimal_agrees_with_catalog(sample_corpus):
         for x in H.elements():
             keys = {e.counts for e in cat.classes_of(x)}
             for w in fb.enumerate_factorizations(H, x, min(H.size - 1, 4)):
-                assert is_minimal_word(H, w) == (class_counts(H, w) in keys), name
+                assert is_minimal_word(H, w) == (class_vector(H, w) in keys), name
 
 
 # -- minimal catalog, kappa, dichotomy ------------------------------------------------
@@ -293,12 +312,12 @@ def test_catalog_representatives_are_members(sample_corpus):
         for x in H.elements():
             for e in cat.classes_of(x):
                 assert pi_eval(H, e.representative) == x, name
-                assert class_counts(H, e.representative) == e.counts, name
+                assert class_vector(H, e.representative) == e.counts, name
                 assert is_minimal_word(H, e.representative), name
                 first = next(
                     w
                     for w in fb.enumerate_factorizations(H, x, sum(e.counts))
-                    if class_counts(H, w) == e.counts
+                    if class_vector(H, w) == e.counts
                 )
                 assert e.representative == first, name
 
@@ -431,7 +450,7 @@ def test_powerful_counterexamples(n3, t4):
     # the conflict element really does have factorizations with different
     # a-multiplicities
     words = fb.enumerate_factorizations(t4, element, 4)
-    counts = {class_counts(t4, w)[t4.atom_class_of[1]] for w in words}
+    counts = {class_vector(t4, w)[t4.atom_class_of[1]] for w in words}
     assert len(counts) > 1
 
 
@@ -450,7 +469,7 @@ def test_powerful_flag_matches_word_level_valuations(sample_corpus):
             cls = H.atom_class_of[a]
             for x in H.elements():
                 words = fb.enumerate_factorizations(H, x, min(H.size + 2, 6))
-                vals = {class_counts(H, w)[cls] for w in words}
+                vals = {class_vector(H, w)[cls] for w in words}
                 assert len(vals) <= 1, (name, a, x)
 
 
@@ -497,6 +516,67 @@ def test_factorial_battery_runs_cleanly_on_corpus(sample_corpus):
             assert flags.factorial, name
 
 
+def test_finite_factoriality_is_being_a_group(sample_corpus):
+    # A non-unit's idempotent power e = e^2 = ... has factorizations of
+    # unbounded length as soon as it has one, so on a finite monoid BF, FF,
+    # HF and factorial all say "group".
+    monoids = (
+        corpus_members(3)
+        + sample_corpus
+        + [(f"seed{s}", H) for s, H in INSTANCES]
+        + [(f"P(C{m})", build_reduced_power_monoid(fb.cyclic(m)).result) for m in range(2, 6)]
+        + [("null5", fb.null_monoid(5)), ("T3", fb.full_transformation(3)), ("GL(2,3)", fb.gl(2, 3))]
+    )
+    seen = set()
+    for name, H in monoids:
+        flags = fb.classify_arithmetic(H)
+        group = fb.property_battery(H).group
+        assert flags.bf == flags.ff == flags.hf == fb.factorial_battery(H).factorial == group, name
+        seen.add((flags.atomic, group))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_factoriality_routes_can_disagree():
+    # With every atom made powerful, N3 passes the powerful-atom route, but it
+    # is not a group.
+    H = fb.null_monoid(1)
+    H.analysis.__dict__["powerful_conflicts"] = (None,) * len(H.atom_classes)
+    with pytest.raises(CrossCheckMismatch, match="powerful-atoms=True, group=False"):
+        fb.factorial_battery(H)
+
+
+def shortest_atom_word(H, x):
+    """A shortest atom word of x, by breadth-first search over H.table."""
+    words = {0: ()}
+    queue = [0]
+    for s in queue:
+        for a in H.atoms:
+            t = H.table[s][a]
+            if t not in words:
+                words[t] = words[s] + (a,)
+                queue.append(t)
+    return words[x]
+
+
+def test_idempotent_powers_have_two_classes_on_atomic_non_groups():
+    # If w is a word of the idempotent e, so is w*w, so the enumeration to
+    # twice the shortest length meets two class-count vectors.
+    covered = 0
+    for name, H in corpus_members(3) + [(f"seed{s}", H) for s, H in INSTANCES]:
+        if not fb.classify_arithmetic(H).atomic or fb.property_battery(H).group:
+            continue
+        x = next(x for x in H.elements() if not H.is_unit(x))
+        e = x
+        while H.table[e][e] != e:
+            e = H.table[e][x]
+        w = shortest_atom_word(H, e)
+        assert w, name
+        words = fb.enumerate_factorizations(H, e, 2 * len(w))
+        assert len({class_vector(H, v) for v in words}) >= 2, name
+        covered += 1
+    assert covered == 11
+
+
 def test_full_transformation_monoid_is_atomless():
     # every non-invertible map is a product of non-invertible idempotents,
     # so there are no atoms at all and nothing below the non-units
@@ -541,7 +621,7 @@ def test_integer_word_enumeration_matches_class_table():
     ints = IntegerFragment(300)
     table = integer_class_table(300)
     for n in range(2, 301):
-        keys = factorization_class_keys(ints, n, 9)
+        keys = {class_vector(ints, w) for w in fb.enumerate_factorizations(ints, n, 9)}
         multisets = {
             tuple(
                 sorted(
