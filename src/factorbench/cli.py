@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 from dataclasses import asdict, fields
 
@@ -21,6 +20,7 @@ from .core import (
     cyclic,
     full_transformation,
     gl,
+    json_text,
     load_cayley,
     null_monoid,
     property_battery,
@@ -286,7 +286,7 @@ def _render_text(data, indent=0) -> str:
 
 def _emit(report: dict, ns) -> None:
     if ns.fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = json_text(report) + "\n"
     else:
         text = _render_text(report) + "\n"
     if ns.out:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
+from json.encoder import encode_basestring_ascii as _jstr
 from operator import itemgetter, mul
 
 from .errors import IndexOutOfRange, NoIdentity, NotAssociative, SizeLimit
@@ -148,6 +149,7 @@ def _raise_first_non_associative(rows) -> None:
 
 
 _INT = frozenset({int})
+_STR = frozenset({str})
 
 
 @lru_cache(maxsize=64)
@@ -595,10 +597,68 @@ def load_cayley(path) -> FiniteMonoid:
     return monoid_from_dict(data)
 
 
+def json_text(obj) -> str:
+    """The text the standard library's json encoder gives obj with sorted
+    keys and an indent of 2, byte for byte.
+
+    With an indent, the stdlib runs its pure-Python encoder; this builds each
+    container with one str.join, encodes strings in C and joins lists of
+    plain ints or strs without a call per item.  Keys are sorted before they
+    are converted, as json sorts them, and anything json cannot encode
+    raises TypeError.  Containers are not checked for cycles."""
+    prefixes: dict = {}  # holds str keys only, so no other key can match one
+
+    def prefix(k) -> str:
+        if isinstance(k, str):
+            text = prefixes[k] = _jstr(k) + ": "
+            return text
+        if k is None or isinstance(k, (int, float)):
+            return '"' + value(k, "") + '": '
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+    def value(o, nl: str) -> str:
+        if isinstance(o, str):
+            return _jstr(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            if o != o:
+                return "NaN"
+            if o in (math.inf, -math.inf):
+                return "Infinity" if o > 0 else "-Infinity"
+            return float.__repr__(o)
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            inner = nl + "  "
+            if _INT.issuperset(map(type, o)):
+                items = map(int.__repr__, o)
+            elif _STR.issuperset(map(type, o)):
+                items = map(_jstr, o)
+            else:
+                items = [value(v, inner) for v in o]
+            return "[" + inner + ("," + inner).join(items) + nl + "]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            inner = nl + "  "
+            get = prefixes.get
+            items = [(get(k) or prefix(k)) + value(o[k], inner) for k in sorted(o)]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    return value(obj, "\n")
+
+
 def dump_cayley(H: FiniteMonoid) -> str:
     """Byte-stable JSON rendering (sorted keys, integers only)."""
-    payload = {"names": list(H.names), "table": [list(r) for r in H.table]}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text({"names": H.names, "table": H.table}) + "\n"
 
 
 def save_cayley(H: FiniteMonoid, path) -> None:

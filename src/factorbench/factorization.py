@@ -561,10 +561,12 @@ class AtomAnalysis:
         the breadth-first tree from the identity.  The search order does not
         depend on the class, so one search with class-count vectors as
         potentials meets, for every class, the first conflicting edge that a
-        search for that class alone meets."""
+        search for that class alone meets.  Later edges cannot change a
+        class's first conflict, so the search stops once every class has one."""
         H = self.H
         letters = [H.atom_class_of[a] for a in H.atoms]
         conflicts: list[tuple | None] = [None] * len(H.atom_classes)
+        open_classes = len(conflicts)
         potential = {H.identity: (0,) * len(conflicts)}
         queue = [H.identity]
         for s in queue:
@@ -578,6 +580,9 @@ class AtomAnalysis:
                     for k, (old, new) in enumerate(zip(potential[t], w)):
                         if old != new and conflicts[k] is None:
                             conflicts[k] = (t, old, new)
+                            open_classes -= 1
+                            if not open_classes:
+                                return tuple(conflicts)
         return tuple(conflicts)
 
     @cached_property

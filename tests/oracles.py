@@ -4,6 +4,7 @@ Everything here is deliberately naive: exhaustive enumeration, no pruning,
 no shared code paths with the implementations under test.
 """
 
+import json
 import re
 from collections import Counter
 from itertools import product
@@ -780,3 +781,10 @@ def tuple_length_probe(relations, target, max_len, budget):
                     complete = False
         frontier = fresh
     return tuple(sorted(lengths)), complete
+
+
+def stdlib_json_text(obj):
+    """The text a report writer must match byte for byte: the standard
+    library's encoder with sorted keys and an indent of 2 (with an indent it
+    runs the pure-Python encoder)."""
+    return json.dumps(obj, sort_keys=True, indent=2)

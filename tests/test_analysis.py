@@ -15,6 +15,11 @@ from test_random_monoids import INSTANCES
 def test_potentials_and_cycles_match_oracles(sample_corpus):
     monoids = sample_corpus + corpus_members(3)
     monoids += [(f"seed{seed}", H) for seed, H in INSTANCES]
+    # every atom class meets its conflict before the search ends on these two
+    monoids += [
+        ("null(22)", fb.null_monoid(22)),
+        ("P(C6)", build_reduced_power_monoid(fb.cyclic(6)).result),
+    ]
     for name, H in monoids:
         for a in H.atoms:
             assert fb.is_powerful(H, a) == potential_labeling(H, a), (name, a)
