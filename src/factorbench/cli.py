@@ -21,14 +21,14 @@ from .core import (
     full_transformation,
     gl,
     json_text,
-    load_cayley,
     null_monoid,
+    parse_cayley,
     property_battery,
     trivial,
     two_element_with_zero,
 )
 from .corpus import scan_corpus
-from .errors import FactorbenchError, SizeLimit
+from .errors import CapExceeded, FactorbenchError
 from .factorization import (
     IntegerFragment,
     classify_arithmetic,
@@ -66,7 +66,7 @@ def _load_monoid(ns) -> tuple[FiniteMonoid, str]:
     if ns.infile:
         with open(ns.infile, "rb") as fh:
             raw = fh.read()
-        return load_cayley(ns.infile), _digest(raw)
+        return parse_cayley(raw), _digest(raw)
     if ns.cyclic is not None:
         return cyclic(ns.cyclic), _digest(f"cyclic:{ns.cyclic}".encode())
     if ns.null is not None:
@@ -400,7 +400,7 @@ def dispatch(ns) -> int:
         value = getattr(ns, dest, None)
         if value is not None and value > ENUMERATION_CAP:
             flag = "--" + dest.replace("_", "-")
-            raise SizeLimit(f"{flag} {value} is above the cap {ENUMERATION_CAP}")
+            raise CapExceeded(f"{flag} {value} is above the cap {ENUMERATION_CAP}")
     code, digest, payload = _HANDLERS[ns.command](ns)
     report = {
         "version": __version__,

@@ -15,7 +15,7 @@ from itertools import product
 from json.encoder import encode_basestring_ascii as _jstr
 from operator import itemgetter, mul
 
-from .errors import IndexOutOfRange, NoIdentity, NotAssociative, SizeLimit
+from .errors import CapExceeded, IndexOutOfRange, NoIdentity, NotAssociative
 
 # Raw-enumeration instances (gl, full transformations) refuse above this
 # many candidate elements, and the CLI refuses size flags above it.
@@ -29,7 +29,7 @@ ORDER_CAP = 1024
 
 def _check_order(order: int, what: str) -> None:
     if order > ORDER_CAP:
-        raise SizeLimit(f"{what} has order {order}, above the cap {ORDER_CAP}")
+        raise CapExceeded(f"{what} has order {order}, above the cap {ORDER_CAP}")
 
 
 @dataclass(frozen=True)
@@ -510,7 +510,7 @@ def full_transformation(m: int) -> FiniteMonoid:
     if m < 1:
         raise ValueError("need at least one point")
     if m > 3:
-        raise SizeLimit("full transformation monoid capped at 3 points")
+        raise CapExceeded("full transformation monoid capped at 3 points")
     maps = sorted(product(range(m), repeat=m))
     ident = tuple(range(m))
     maps.remove(ident)
@@ -546,7 +546,7 @@ def gl(n: int, m: int) -> FiniteMonoid:
     # m >= 2, so n*n above the cap's bit length already decides the
     # comparison without computing a huge power.
     if n * n > ENUMERATION_CAP.bit_length() or m ** (n * n) > ENUMERATION_CAP:
-        raise SizeLimit(f"{m}^{n * n} candidate matrices exceed cap {ENUMERATION_CAP}")
+        raise CapExceeded(f"{m}^{n * n} candidate matrices exceed cap {ENUMERATION_CAP}")
     mats = []
     for flat in product(range(m), repeat=n * n):
         mat = tuple(flat[i * n : (i + 1) * n] for i in range(n))
@@ -588,13 +588,18 @@ def monoid_from_dict(data: dict) -> FiniteMonoid:
     return FiniteMonoid(data["table"], data.get("names"))
 
 
-def load_cayley(path) -> FiniteMonoid:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError("the Cayley file nests too deeply") from None
+def parse_cayley(raw: bytes) -> FiniteMonoid:
+    """The monoid of a Cayley file's bytes (UTF-8 JSON)."""
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("the Cayley file nests too deeply") from None
     return monoid_from_dict(data)
+
+
+def load_cayley(path) -> FiniteMonoid:
+    with open(path, "rb") as fh:
+        return parse_cayley(fh.read())
 
 
 def json_text(obj) -> str:

@@ -16,7 +16,7 @@ from .core import (
     property_battery,
     two_element_with_zero,
 )
-from .errors import IndexOutOfRange, NoIdentity, NotAssociative, SizeLimit
+from .errors import CapExceeded, IndexOutOfRange, NoIdentity, NotAssociative
 from .factorization import classify_arithmetic
 from .power import build_reduced_power_monoid
 
@@ -26,10 +26,10 @@ SUBADDITIVITY_HORIZON = 30
 def small_monoids(order: int):
     """All monoid tables of exactly this order: every full table is a
     candidate, kept iff element 0 is an identity and the table associates.
-    More than ENUMERATION_CAP candidates (order 4 on) raise SizeLimit."""
+    More than ENUMERATION_CAP candidates (order 4 on) raise CapExceeded."""
     n = order
     if n ** (n * n) > ENUMERATION_CAP:
-        raise SizeLimit(f"{n}^{n * n} candidate tables of order {n} exceed cap {ENUMERATION_CAP}")
+        raise CapExceeded(f"{n}^{n * n} candidate tables of order {n} exceed cap {ENUMERATION_CAP}")
     for flat in iproduct(range(n), repeat=n * n):
         table = [flat[i * n : (i + 1) * n] for i in range(n)]
         try:

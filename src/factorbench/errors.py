@@ -19,32 +19,17 @@ class IndexOutOfRange(FactorbenchError):
     pass
 
 
-class SizeLimit(FactorbenchError):
-    pass
-
-
 class AlphabetMismatch(FactorbenchError):
     pass
 
 
-class ExplosionGuard(FactorbenchError):
-    """Raised when an enumeration exceeds its configured word cap."""
-
-
 class CapExceeded(FactorbenchError):
-    """Defensive bound on layer-set iteration; never expected on valid input."""
-
-
-class DichotomyViolation(FactorbenchError):
-    """Minimal lengths failed to fill an initial interval; signals a bug."""
+    """A size or work cap refused the input: an order, a candidate count, a
+    size flag, the enumeration word cap or the layer iteration bound."""
 
 
 class CrossCheckMismatch(FactorbenchError):
-    """Two independent decision routes disagreed; signals a bug."""
-
-
-class BoundViolation(FactorbenchError):
-    """A proven bound failed on computed data; signals a bug."""
+    """Computed data contradicts a second route or a proven fact; signals a bug."""
 
 
 class ParseError(FactorbenchError):
@@ -53,10 +38,6 @@ class ParseError(FactorbenchError):
         if location is not None:
             message = f"{message} (at {location})"
         super().__init__(message)
-
-
-class UnknownGenerator(FactorbenchError):
-    pass
 
 
 class EmptyRelationSide(FactorbenchError):

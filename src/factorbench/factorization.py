@@ -22,13 +22,7 @@ from heapq import merge
 from itertools import groupby
 from math import gcd, isqrt
 
-from .errors import (
-    AlphabetMismatch,
-    CapExceeded,
-    CrossCheckMismatch,
-    DichotomyViolation,
-    ExplosionGuard,
-)
+from .errors import AlphabetMismatch, CapExceeded, CrossCheckMismatch
 
 DEFAULT_WORD_CAP = 10**6
 LAYER_CAP = 10**5
@@ -142,7 +136,7 @@ def enumerate_factorizations(S, x, max_len: int, word_cap: int = DEFAULT_WORD_CA
         prod, length, word = stack.pop()
         nodes += 1
         if nodes > word_cap:
-            raise ExplosionGuard(f"more than {word_cap} prefixes examined")
+            raise CapExceeded(f"more than {word_cap} prefixes examined")
         if prod == x:
             found.append(word)
         if length < max_len:
@@ -286,7 +280,7 @@ def kappa_and_dichotomy(H) -> tuple[int, tuple[int, ...]]:
         {sum(e.counts) for entries in cat.per_element.values() for e in entries}
     )
     if lengths != list(range(cat.kappa + 1)):
-        raise DichotomyViolation(
+        raise CrossCheckMismatch(
             f"minimal lengths {lengths} do not fill 0..{cat.kappa}"
         )
     return cat.kappa, tuple(lengths)
@@ -430,10 +424,15 @@ class AtomAnalysis:
     def __init__(self, H):
         self.H = H
         self.succ = tuple(tuple(row[a] for a in H.atoms) for row in H.table)
-        self.preds: list[set[int]] = [set() for _ in self.succ]
+
+    @cached_property
+    def preds(self) -> list[set[int]]:
+        """The predecessor sets of the digraph; only completion_test reads them."""
+        preds: list[set[int]] = [set() for _ in self.succ]
         for s, targets in enumerate(self.succ):
             for t in targets:
-                self.preds[t].add(s)
+                preds[t].add(s)
+        return preds
 
     def completion_test(self, x):
         """Membership in the set of vertices from which x is reachable."""

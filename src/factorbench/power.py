@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from operator import or_
 
 from .core import FiniteMonoid, _check_order
-from .errors import BoundViolation, CrossCheckMismatch
+from .errors import CrossCheckMismatch
 from .factorization import classify_arithmetic, minimal_catalog
 
 
@@ -92,6 +92,6 @@ def kappa_report(K: FiniteMonoid) -> KappaReport:
     cat = minimal_catalog(P)
     bound = K.size - 1
     if cat.kappa > bound:
-        raise BoundViolation(f"kappa {cat.kappa} exceeds bound {bound}")
+        raise CrossCheckMismatch(f"kappa {cat.kappa} exceeds bound {bound}")
     atomic = classify_arithmetic(P).atomic
     return KappaReport(cat.kappa, bound, cat.kappa == bound, atomic)

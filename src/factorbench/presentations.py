@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from random import Random
 
-from .errors import AlphabetMismatch, EmptyRelationSide, ParseError, UnknownGenerator
+from .errors import AlphabetMismatch, EmptyRelationSide, ParseError
 
 GenWord = tuple[str, ...]
 
@@ -79,7 +79,7 @@ class Presentation:
         try:
             return "".join([code[g] for g in word])
         except KeyError as exc:
-            raise UnknownGenerator(f"undeclared generator {exc.args[0]!r}") from None
+            raise AlphabetMismatch(f"undeclared generator {exc.args[0]!r}") from None
 
     def decode(self, s: str) -> GenWord:
         return tuple(map(self.generators.__getitem__, map(ord, s)))
@@ -352,7 +352,7 @@ def validate_chain(P: Presentation, chain) -> bool:
     differ by one relation application."""
     try:
         words = [P.encode(w) for w in chain]
-    except UnknownGenerator:
+    except AlphabetMismatch:
         return False
     return all(b in set(_rewrites(a, P.rules)) for a, b in zip(words, words[1:]))
 

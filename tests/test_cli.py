@@ -1,4 +1,6 @@
+import builtins
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factorbench as fb
+from factorbench import factorization
 from factorbench.cli import main
 
 
@@ -32,6 +35,25 @@ def test_analyze_from_file(tmp_path, capsys, n3):
     assert body["atoms"] == ["a"]
     assert report["version"] == fb.__version__
     assert len(report["input_digest"]) == 64
+
+
+def test_analyze_reads_the_cayley_file_once(tmp_path, capsys, monkeypatch, n3):
+    # the input digest must describe the very bytes that were parsed
+    path = tmp_path / "n3.json"
+    fb.save_cayley(n3, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    real_open, opens = builtins.open, []
+
+    def counting_open(file, *args, **kwargs):
+        if file == str(path):
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(path))
+    assert code == 0
+    assert len(opens) == 1
+    assert json.loads(out)["input_digest"] == digest
 
 
 def test_analyze_instance_flags(capsys):
@@ -251,6 +273,13 @@ def test_deep_factorize_stops_at_the_word_cap(tmp_path):
     assert proc.returncode == 1
     assert "more than 1000000 prefixes examined" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_layer_cap_ends_analyze_with_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(factorization, "LAYER_CAP", 1)
+    code, out, err = run_cli(capsys, "analyze", "--cyclic", "5")
+    assert (code, out) == (1, "")
+    assert err == "factorbench: layer iteration exceeded 1 steps\n"
 
 
 def test_text_format_renders_same_data(capsys):

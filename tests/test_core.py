@@ -6,7 +6,7 @@ import pytest
 import factorbench as fb
 from factorbench.core import AssociationPartition, FiniteMonoid, dump_cayley, monoid_from_dict
 from factorbench.corpus import corpus_members
-from factorbench.errors import IndexOutOfRange, NoIdentity, NotAssociative, SizeLimit
+from factorbench.errors import CapExceeded, IndexOutOfRange, NoIdentity, NotAssociative
 from oracles import (
     association_orbits,
     associativity_triples,
@@ -132,9 +132,9 @@ def test_instance_catalog():
     assert t4.size == 4
     assert associativity_triples(t4.table) == []
 
-    with pytest.raises(SizeLimit):
+    with pytest.raises(CapExceeded, match="full transformation monoid capped at 3 points"):
         fb.full_transformation(4)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(CapExceeded, match=r"5\^9 candidate matrices exceed cap 1000000"):
         fb.gl(3, 5)
 
 
@@ -150,7 +150,7 @@ def test_built_orders_are_capped():
         lambda: fb.gl(2, 7),  # 2016 invertible matrices out of 2401 candidates
         lambda: fb.direct_product(fb.cyclic(32), fb.cyclic(33)),
     ]:
-        with pytest.raises(SizeLimit):
+        with pytest.raises(CapExceeded, match=rf"has order \d+, above the cap {cap}$"):
             build()
     assert fb.cyclic(cap).size == cap
 

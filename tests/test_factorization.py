@@ -2,12 +2,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import factorbench as fb
-from factorbench.errors import AlphabetMismatch, CrossCheckMismatch, ExplosionGuard
+from factorbench.errors import AlphabetMismatch, CapExceeded, CrossCheckMismatch
 from factorbench.core import FiniteMonoid
 from factorbench.corpus import corpus_members
+from factorbench import factorization
 from factorbench.factorization import (
+    AtomAnalysis,
     IntegerFragment,
     LengthSet,
+    MinimalCatalog,
+    MinimalClassEntry,
     integer_class_table,
     pi_eval,
     primes_up_to,
@@ -66,7 +70,7 @@ def test_enumerate_integations_against_divisor_tree():
 
 
 def test_enumerate_explosion_guard(t4):
-    with pytest.raises(ExplosionGuard):
+    with pytest.raises(CapExceeded, match="more than 10 prefixes examined"):
         fb.enumerate_factorizations(t4, 3, 12, word_cap=10)
 
 
@@ -543,6 +547,28 @@ def test_factoriality_routes_can_disagree():
     H.analysis.__dict__["powerful_conflicts"] = (None,) * len(H.atom_classes)
     with pytest.raises(CrossCheckMismatch, match="powerful-atoms=True, group=False"):
         fb.factorial_battery(H)
+
+
+def test_atomic_carrier_without_a_minimal_class_is_a_cross_check_mismatch():
+    H = fb.null_monoid(1)  # atomic, not a group: both factoriality routes say no
+    H.analysis.__dict__["catalog"] = MinimalCatalog({}, 0)
+    with pytest.raises(CrossCheckMismatch, match="^atomic carrier but element 1 has no minimal class$"):
+        fb.factorial_battery(H)
+
+
+def test_minimal_lengths_with_a_gap_are_a_cross_check_mismatch():
+    H = fb.null_monoid(1)
+    H.analysis.__dict__["catalog"] = MinimalCatalog(
+        {0: (MinimalClassEntry((0,), ()),), 2: (MinimalClassEntry((2,), (1, 1)),)}, 2
+    )
+    with pytest.raises(CrossCheckMismatch, match=r"^minimal lengths \[0, 2\] do not fill 0\.\.2$"):
+        fb.kappa_and_dichotomy(H)
+
+
+def test_layer_iteration_past_its_cap_is_cap_exceeded(monkeypatch):
+    monkeypatch.setattr(factorization, "LAYER_CAP", 1)
+    with pytest.raises(CapExceeded, match="^layer iteration exceeded 1 steps$"):
+        AtomAnalysis(fb.cyclic(5)).length_sets
 
 
 def shortest_atom_word(H, x):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 import factorbench as fb
 from factorbench.corpus import corpus_members
-from factorbench.errors import SizeLimit
+from factorbench.errors import CapExceeded, CrossCheckMismatch
+from factorbench.factorization import MinimalCatalog
 from factorbench.power import (
     atomicity_criterion,
     build_reduced_power_monoid,
@@ -49,7 +52,7 @@ def test_power_monoids_are_reduced():
 
 def test_size_cap():
     for K in (fb.gl(2, 3), fb.cyclic(12)):  # 48 and 12 elements
-        with pytest.raises(SizeLimit):
+        with pytest.raises(CapExceeded, match=rf"base of size {K.size} has order \d+, above the cap 1024"):
             build_reduced_power_monoid(K)
 
 
@@ -76,11 +79,26 @@ def test_kappa_reports():
     assert rep.kappa <= 1 and not rep.atomic
 
 
+def test_atomicity_routes_can_disagree():
+    K = fb.cyclic(3)
+    P = build_reduced_power_monoid(K).result
+    P.analysis.__dict__["flags"] = replace(fb.classify_arithmetic(P), atomic=False)
+    with pytest.raises(CrossCheckMismatch, match="^power-monoid atomicity: criterion=True, direct=False$"):
+        atomicity_criterion(K)
+
+
+def test_kappa_above_the_bound_is_a_cross_check_mismatch():
+    K = fb.cyclic(3)
+    build_reduced_power_monoid(K).result.analysis.__dict__["catalog"] = MinimalCatalog({}, 5)
+    with pytest.raises(CrossCheckMismatch, match="^kappa 5 exceeds bound 2$"):
+        kappa_report(K)
+
+
 def test_kappa_bound_across_small_bases(sample_corpus):
     for name, K in sample_corpus:
         if K.size > 5:
             continue
-        rep = kappa_report(K)  # raises BoundViolation if the bound breaks
+        rep = kappa_report(K)  # raises CrossCheckMismatch if the bound breaks
         assert rep.kappa <= K.size - 1, name
 
 

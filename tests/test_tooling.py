@@ -1,6 +1,7 @@
 """Repository checks: the oracles stay independent of the package, the
 scripts run end to end, every command line and the library tour in the
-README run, and the README lists exactly the flags each command declares."""
+README run, the README lists exactly the flags each command declares, and
+the error types match what the benchmark reads and what the code raises."""
 
 import argparse
 import ast
@@ -13,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import factorbench as fb
+from factorbench import factorization
 from factorbench.cli import build_parser, main
+from factorbench.errors import CapExceeded
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,6 +94,50 @@ def test_readme_lists_the_flags_of_each_command():
         for match in re.finditer(r"^- `(\w+(?: [a-z]+)?)[^`]*`: (.*?)(?=^- |^$)", section, re.S | re.M)
     }
     assert documented == _declared_flags(build_parser())
+
+
+def test_benchmark_reads_the_cap_errors_the_code_raises(monkeypatch):
+    # perfbench counts a cap error by class name (tracer) and accepts its
+    # exit by message (checker); both are read here, never imported
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    checker = ast.parse((ROOT / "perfbench" / "checker.py").read_text(encoding="utf-8"))
+    cap_errors = ast.literal_eval(_assigned(tracer, "CAP_ERRORS"))
+    cap_messages = re.compile(ast.literal_eval(_assigned(checker, "CAP_MESSAGES").args[0]))
+    assert "CapExceeded" in cap_errors
+    assert "CapExceeded" in _error_classes()
+
+    monkeypatch.setattr(factorization, "LAYER_CAP", 1)
+    caps = [
+        lambda: fb.enumerate_factorizations(fb.null_monoid(2), 3, 12, word_cap=10),
+        lambda: factorization.AtomAnalysis(fb.cyclic(5)).length_sets,
+    ]
+    for cap in caps:
+        with pytest.raises(CapExceeded) as info:
+            cap()
+        assert cap_messages.search(str(info.value)), str(info.value)
+
+
+def test_every_error_class_is_raised_in_src():
+    raised = set()
+    for path in (ROOT / "src" / "factorbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert _error_classes() <= raised, _error_classes() - raised
+
+
+def _error_classes():
+    tree = ast.parse((ROOT / "src" / "factorbench" / "errors.py").read_text(encoding="utf-8"))
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def _assigned(tree, name):
+    return next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]
+    )
 
 
 def _declared_flags(parser, prefix=""):
