@@ -136,7 +136,7 @@ def _error_classes():
 def _assigned(tree, name):
     return next(
         node.value for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]
     )
 
 
