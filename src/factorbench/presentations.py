@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import gcd, lcm
 from random import Random
 
@@ -410,6 +411,16 @@ def normal_form(word) -> GenWord:
 # Random.choice and Random.randint do, so they give the same words and leave
 # the generator in the same state at a fraction of the cost;
 # tests/test_presentations.py pins this on the running interpreter.
+#
+# Both draw from range(n) as _randbelow does.  For k <= 32, getrandbits(k) is
+# the top k bits of one 32-bit Mersenne Twister output, so choice over the
+# four letters takes getrandbits(3) per output and keeps it while it is below
+# 4: the output's top bit is 0, and its next two bits index LADDER_ALPHABET.
+# For k > 32, getrandbits fills the integer with successive outputs from its
+# low end, so byte 4i + 3 of getrandbits(32 * m).to_bytes(4 * m, "little") is
+# the top byte of output i: below 128 it is the letter LADDER_ALPHABET[byte
+# >> 5], from 128 on a rejected draw.  A batch of as many outputs as letters
+# are still missing never takes one that the letter-by-letter loop would not.
 
 
 def _randbelow(getrandbits, n: int) -> int:
@@ -423,33 +434,66 @@ def _randbelow(getrandbits, n: int) -> int:
     return r
 
 
+_TOP_BYTE_LETTER = bytes(ord(LADDER_ALPHABET[b >> 5]) for b in range(128)) + bytes(128)
+_REJECTED_TOP_BYTES = bytes(range(128, 256))
+# Words longer than this draw their letters in batches of outputs.
+_BATCH_LETTERS = 32
+
+
 def _random_ladder_word(getrandbits, max_len: int) -> str:
     n = _randbelow(getrandbits, max_len + 1)
-    return "".join([LADDER_ALPHABET[_randbelow(getrandbits, 4)] for _ in range(n)])
+    if n > _BATCH_LETTERS:
+        parts = []
+        while n:
+            top = getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
+            part = top.translate(_TOP_BYTE_LETTER, _REJECTED_TOP_BYTES)
+            parts.append(part)
+            n -= len(part)
+        return b"".join(parts).decode("ascii")
+    word = ""
+    while n:
+        r = getrandbits(3)
+        if r < 4:
+            word += LADDER_ALPHABET[r]
+            n -= 1
+    return word
 
 
 def _random_congruent(getrandbits, s: str, steps: int) -> str:
+    """steps random expansions x y^k z -> y x y^(k+1) z w or contractions,
+    each drawn uniformly over every occurrence, factors first."""
     for _ in range(steps):
-        moves = [("expand", m.start(), m.end()) for m in _FACTOR.finditer(s)]
-        moves += [("contract", m.start(), m.end()) for m in _CONTRACT.finditer(s)]
+        factors = len(_FACTOR.findall(s))
+        moves = factors + len(_CONTRACT.findall(s))
         if not moves:
             break
-        kind, i, j = moves[_randbelow(getrandbits, len(moves))]
-        if kind == "expand":
-            k = j - i - 2
-            s = s[:i] + "yx" + "y" * (k + 1) + "zw" + s[j:]
+        k = _randbelow(getrandbits, moves)
+        if k < factors:
+            i, j = next(islice(_FACTOR.finditer(s), k, None)).span()
+            s = s[:i] + "yx" + "y" * (j - i - 1) + "zw" + s[j:]
         else:
+            i, j = next(islice(_CONTRACT.finditer(s), k - factors, None)).span()
             s = _contract(s, i, j)
     return s
 
 
 def _random_order_normal_form(getrandbits, s: str) -> str:
-    while True:
-        ms = list(_CONTRACT.finditer(s))
-        if not ms:
-            return s
-        m = ms[_randbelow(getrandbits, len(ms))]
+    """Contract an occurrence drawn uniformly until none is left."""
+    m = _CONTRACT.search(s)
+    while m is not None:
+        first = m.start()
+        # Occurrences cannot overlap: each has one x, at offset 1.
+        second = _CONTRACT.search(s, m.end())
+        if second is None:
+            _randbelow(getrandbits, 1)
+        else:
+            ms = [m, second, *_CONTRACT.finditer(s, second.end())]
+            m = ms[_randbelow(getrandbits, len(ms))]
         s = _contract(s, m.start(), m.end())
+        # Only the contracted text and the letter before it changed, so no
+        # occurrence starts before the old leftmost one, less one.
+        m = _CONTRACT.search(s, max(first - 1, 0))
+    return s
 
 
 @dataclass(frozen=True)

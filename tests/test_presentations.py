@@ -24,6 +24,7 @@ from factorbench.presentations import (
     sandwich_xyx,
     validate_chain,
     verify_ladder_properties,
+    _BATCH_LETTERS,
     _random_congruent,
     _random_ladder_word,
     _random_order_normal_form,
@@ -433,9 +434,49 @@ def test_getrandbits_draws_match_random_choice(max_len):
         assert fast.getstate() == slow.getstate(), seed
 
 
+def test_batched_letter_draws_match_random_choice():
+    # Words longer than _BATCH_LETTERS take their letters from the top bytes
+    # of one getrandbits call per batch; shorter ones one output at a time.
+    lengths = set()
+    for max_len, seeds in ((2 * _BATCH_LETTERS, 300), (100_000, 6)):
+        for seed in range(seeds):
+            fast, slow = Random(seed), Random(seed)
+            word = _random_ladder_word(fast.getrandbits, max_len)
+            assert word == choice_ladder_word(slow, max_len), (max_len, seed)
+            assert fast.getstate() == slow.getstate(), (max_len, seed)
+            lengths.add(len(word))
+    assert {_BATCH_LETTERS, _BATCH_LETTERS + 1} <= lengths
+    assert max(lengths) > 50_000
+
+
+@given(expanded_ladder_words(), st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_occurrence_draws_match_random_choice(s, seed, steps):
+    fast, slow = Random(seed), Random(seed)
+    probe = _random_congruent(fast.getrandbits, s, steps)
+    assert probe == choice_congruent(slow, s, steps)
+    assert _random_order_normal_form(fast.getrandbits, probe) == choice_order_normal_form(slow, probe)
+    assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        "yyxyyzww",  # one occurrence, and one again after it is contracted
+        "yxyzwyxyyzwxyzyxyzw",  # three occurrences side by side
+        "yxyzwyyxyyzwwyxyzw",  # several, one of them nested
+    ],
+)
+def test_order_normal_form_draws_on_one_and_many_occurrences(s):
+    for seed in range(50):
+        fast, slow = Random(seed), Random(seed)
+        assert _random_order_normal_form(fast.getrandbits, s) == choice_order_normal_form(slow, s), seed
+        assert fast.getstate() == slow.getstate(), seed
+
+
 def test_verification_matches_choice_oracle():
     for samples, max_len, seed in (
-        (0, 6, 0), (1, 0, 3), (200, 6, 3), (700, 6, 5), (400, 12, 7), (150, 40, 11), (10, 400, 2)
+        (0, 6, 0), (1, 0, 3), (200, 6, 3), (700, 6, 5), (400, 12, 7), (150, 40, 11), (10, 400, 2),
+        (3500, 6, 19),
     ):
         rep = verify_ladder_properties(samples, max_len, seed)
         assert astuple(rep) == ladder_verification(samples, max_len, seed), (samples, max_len, seed)
