@@ -436,7 +436,7 @@ def _randbelow(getrandbits, n: int) -> int:
 
 _TOP_BYTE_LETTER = bytes(ord(LADDER_ALPHABET[b >> 5]) for b in range(128)) + bytes(128)
 _REJECTED_TOP_BYTES = bytes(range(128, 256))
-# Words longer than this draw their letters in batches of outputs.
+# Longer words draw in batches; shorter ones are faster one output at a time.
 _BATCH_LETTERS = 32
 
 

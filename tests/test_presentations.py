@@ -3,7 +3,7 @@ from dataclasses import astuple
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from factorbench.errors import AlphabetMismatch, EmptyRelationSide, ParseError
 from factorbench.presentations import (
@@ -24,7 +24,6 @@ from factorbench.presentations import (
     sandwich_xyx,
     validate_chain,
     verify_ladder_properties,
-    _BATCH_LETTERS,
     _random_congruent,
     _random_ladder_word,
     _random_order_normal_form,
@@ -415,12 +414,13 @@ def test_verification_report_clean():
     assert rep.psi_pairs_checked == 200 and rep.psi_failures == 0
 
 
-@pytest.mark.parametrize("max_len", [0, 1, 6, 40, 5000])
+@pytest.mark.parametrize("max_len", [0, 1, 6, 40, 5000, 100_000])
 def test_getrandbits_draws_match_random_choice(max_len):
     # The verifier's draws rest on CPython's Random.choice and Random.randint
     # taking n.bit_length() bits and redrawing; this pins it on the running
-    # interpreter, generator state included.
-    for seed in range(200):
+    # interpreter, generator state included.  Words of up to 40 letters lie on
+    # both sides of the batched draw's threshold; 100_000 draws many batches.
+    for seed in range(200 if max_len < 100_000 else 6):
         fast, slow = Random(seed), Random(seed)
         bits = fast.getrandbits
         for _ in range(2):
@@ -434,43 +434,16 @@ def test_getrandbits_draws_match_random_choice(max_len):
         assert fast.getstate() == slow.getstate(), seed
 
 
-def test_batched_letter_draws_match_random_choice():
-    # Words longer than _BATCH_LETTERS take their letters from the top bytes
-    # of one getrandbits call per batch; shorter ones one output at a time.
-    lengths = set()
-    for max_len, seeds in ((2 * _BATCH_LETTERS, 300), (100_000, 6)):
-        for seed in range(seeds):
-            fast, slow = Random(seed), Random(seed)
-            word = _random_ladder_word(fast.getrandbits, max_len)
-            assert word == choice_ladder_word(slow, max_len), (max_len, seed)
-            assert fast.getstate() == slow.getstate(), (max_len, seed)
-            lengths.add(len(word))
-    assert {_BATCH_LETTERS, _BATCH_LETTERS + 1} <= lengths
-    assert max(lengths) > 50_000
-
-
 @given(expanded_ladder_words(), st.integers(0, 2**32 - 1), st.integers(0, 4))
+@example("yyxyyzww", 0, 0)  # one occurrence, and one again after it is contracted
+@example("yxyzwyxyyzwxyzyxyzw", 0, 0)  # three occurrences side by side
+@example("yxyzwyyxyyzwwyxyzw", 0, 0)  # several, one of them nested
 def test_occurrence_draws_match_random_choice(s, seed, steps):
     fast, slow = Random(seed), Random(seed)
     probe = _random_congruent(fast.getrandbits, s, steps)
     assert probe == choice_congruent(slow, s, steps)
     assert _random_order_normal_form(fast.getrandbits, probe) == choice_order_normal_form(slow, probe)
     assert fast.getstate() == slow.getstate()
-
-
-@pytest.mark.parametrize(
-    "s",
-    [
-        "yyxyyzww",  # one occurrence, and one again after it is contracted
-        "yxyzwyxyyzwxyzyxyzw",  # three occurrences side by side
-        "yxyzwyyxyyzwwyxyzw",  # several, one of them nested
-    ],
-)
-def test_order_normal_form_draws_on_one_and_many_occurrences(s):
-    for seed in range(50):
-        fast, slow = Random(seed), Random(seed)
-        assert _random_order_normal_form(fast.getrandbits, s) == choice_order_normal_form(slow, s), seed
-        assert fast.getstate() == slow.getstate(), seed
 
 
 def test_verification_matches_choice_oracle():
