@@ -8,10 +8,11 @@ plan, the two sides run `perfbench/run.py --workload W --seed S --seconds 25
 --trace 0` back to back; the side that runs first alternates from one pair to
 the next.
 
-A metric of a workload moves ('better' or 'worse') when the medians of the two
-sides differ by more than the interquartile range of the parent's runs and at
-least 9 in 10 of the pairs (all of them, for three pairs) move the same way;
-otherwise it is 'unresolved'.
+A metric of a workload moves ('better' or 'worse') when there are at least ten
+pairs, the medians of the two sides differ by more than the interquartile range
+of the parent's runs and at least 9 in 10 of the pairs move the same way;
+otherwise it is 'unresolved'.  Fewer than ten pairs cannot tell a move of a few
+percent from noise, so they only show that nothing moved beyond its bound.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --plan rewrite:61-70 --plan tables:61-63 --out BENCH_9.json
@@ -40,6 +41,8 @@ def verdict(parent: list[float], change: list[float], better: str) -> tuple[str,
     gains = [sign * (p - c) for p, c in zip(parent, change, strict=True)]
     better_pairs = sum(g > 0 for g in gains)
     worse_pairs = sum(g < 0 for g in gains)
+    if len(gains) < 10:
+        return "unresolved", better_pairs
     need = -(-9 * len(gains) // 10)  # ceil(0.9 n)
     gap = sign * (statistics.median(parent) - statistics.median(change))
     spread = iqr(parent)
@@ -151,9 +154,9 @@ def main() -> int:
         "; ".join(f"{w} seeds {s[0]}-{s[-1]} ({len(s)} pairs)" for w, s in plan)
         + "; parent and change run back to back for each (workload, seed), the side that runs"
         " first alternating from one pair to the next; each side in its own checkout of"
-        " committed files. A move is 'better' or 'worse' when the medians differ by more than"
-        " the parent's interquartile range and at least 9 in 10 pairs agree (all of them for"
-        " three pairs), otherwise 'unresolved'; 'failed' counts failed requests of both sides"
+        " committed files. A move is 'better' or 'worse' when there are at least ten pairs,"
+        " the medians differ by more than the parent's interquartile range and at least 9 in"
+        " 10 pairs agree, otherwise 'unresolved'; 'failed' counts failed requests of both sides"
     )
     meta = runs[0]["meta"]
     report = {

@@ -419,7 +419,7 @@ def main(argv=None) -> int:
         ns.leaf.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return dispatch(ns)
-    except (FactorbenchError, OSError, ValueError, KeyError) as exc:
+    except (FactorbenchError, OSError, ValueError) as exc:
         print(f"factorbench: {exc}", file=sys.stderr)
         return 1
 

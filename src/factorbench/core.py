@@ -17,8 +17,8 @@ from operator import itemgetter, mul
 
 from .errors import CapExceeded, IndexOutOfRange, NoIdentity, NotAssociative
 
-# Raw-enumeration instances (gl, full transformations) refuse above this
-# many candidate elements, and the CLI refuses size flags above it.
+# Bounds gl's candidate matrices, small_monoids' candidate tables and the
+# values of the CLI size flags (full_transformation stops at 3 points).
 ENUMERATION_CAP = 10**6
 
 # Built instances (cyclic, null_monoid, gl, direct_product, reduced power
@@ -359,10 +359,9 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
     acyclic, cancellative: a finite monoid is cancellative iff it is a
     group (an injective row of a finite table is onto, so cancellation gives
     inverses), and a group is acyclic, so when every element is a unit both
-    hold with no witness.  Otherwise the scans run to name the witnesses.
-    The acyclic (u, x, v) scan ends inside the u = 0 slice, because a finite
-    monoid that is not a group has a non-unit idempotent e (a power of any
-    non-unit) and (0, e, e) is a witness; so it is O(n^2).
+    hold with no witness.  Otherwise some non-unit has an idempotent power e,
+    and (0, e, e) refutes both, so each first witness starts at the identity
+    0 and only that slice is scanned, in O(n^2).
     unit_cancellative: an O(n^2) scan, skipped when every element is a unit
     (its witness needs a non-unit).  normalizing: skipped in a group, where
     aH = H = Ha; otherwise each row's set against its column's.
@@ -377,14 +376,7 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
     wit: dict[str, tuple[int, ...]] = {}
 
     acyclic_wit = None if len(un) == n else next(
-        (
-            (u, x, v)
-            for u in rng
-            for x in rng
-            for v in rng
-            if (u not in un or v not in un) and t[t[u][x]][v] == x
-        ),
-        None,
+        (0, x, v) for x in rng for v in rng if v not in un and t[x][v] == x
     )
     if acyclic_wit:
         wit["acyclic"] = acyclic_wit
@@ -402,14 +394,7 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
         wit["unit_cancellative"] = uc_wit
 
     canc_wit = None if len(un) == n else next(
-        (
-            (x, y, z)
-            for x in rng
-            for y in rng
-            for z in rng
-            if x != y and (t[x][z] == t[y][z] or t[z][x] == t[z][y])
-        ),
-        None,
+        (0, y, z) for y in range(1, n) for z in rng if t[y][z] == z or t[z][y] == z
     )
     if canc_wit:
         wit["cancellative"] = canc_wit

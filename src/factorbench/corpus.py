@@ -16,7 +16,7 @@ from .core import (
     property_battery,
     two_element_with_zero,
 )
-from .errors import CapExceeded, IndexOutOfRange, NoIdentity, NotAssociative
+from .errors import CapExceeded, NoIdentity, NotAssociative
 from .factorization import classify_arithmetic
 from .power import build_reduced_power_monoid
 
@@ -34,7 +34,7 @@ def small_monoids(order: int):
         table = [flat[i * n : (i + 1) * n] for i in range(n)]
         try:
             yield FiniteMonoid(table)
-        except (NoIdentity, NotAssociative, IndexOutOfRange):
+        except (NoIdentity, NotAssociative):
             continue
 
 
@@ -88,25 +88,13 @@ def scan_member(name: str, H: FiniteMonoid, horizon: int = SUBADDITIVITY_HORIZON
         if idempotents:
             violations.append(f"{name}: acyclic with non-trivial idempotents {idempotents}")
     lsets = H.analysis.length_sets
-    for x in H.elements():
-        lx = lsets[x].up_to(horizon)
-        if not lx:
-            continue
-        for y in H.elements():
-            ly = lsets[y].up_to(horizon)
-            if not ly:
-                continue
+    lengths = [(x, lx) for x in H.elements() if (lx := lsets[x].up_to(horizon))]
+    for x, lx in lengths:
+        for y, ly in lengths:
             lxy = lsets[H.mul(x, y)]
-            for a in lx:
-                for b in ly:
-                    if (a + b) not in lxy:
-                        violations.append(
-                            f"{name}: lengths {a}+{b} missing at {x}*{y}"
-                        )
-                        break
-                else:
-                    continue
-                break
+            gap = next(((a, b) for a in lx for b in ly if a + b not in lxy), None)
+            if gap:
+                violations.append(f"{name}: lengths {gap[0]}+{gap[1]} missing at {x}*{y}")
     return violations
 
 

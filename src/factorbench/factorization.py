@@ -24,7 +24,7 @@ from math import gcd, isqrt
 
 from .errors import AlphabetMismatch, CapExceeded, CrossCheckMismatch
 
-DEFAULT_WORD_CAP = 10**6
+WORD_CAP = 10**6
 LAYER_CAP = 10**5
 
 
@@ -92,18 +92,12 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
 # -- words over the atom alphabet -----------------------------------------
 
 
-def check_atom_word(S, w) -> tuple:
-    w = tuple(w)
-    for a in w:
-        if a not in S.atom_class_of:
-            raise AlphabetMismatch(f"letter {a!r} is not an atom of {S!r}")
-    return w
-
-
 def pi_eval(S, w):
     """Evaluate an atom word left to right; the empty word gives the identity."""
     x = S.identity
-    for a in check_atom_word(S, w):
+    for a in w:
+        if a not in S.atom_class_of:
+            raise AlphabetMismatch(f"letter {a!r} is not an atom of {S!r}")
         x = S.mul(x, a)
     return x
 
@@ -121,7 +115,7 @@ def _letters(word) -> tuple:
     return tuple(reversed(out))
 
 
-def enumerate_factorizations(S, x, max_len: int, word_cap: int = DEFAULT_WORD_CAP) -> list[tuple]:
+def enumerate_factorizations(S, x, max_len: int) -> list[tuple]:
     """All atom words of length <= max_len evaluating to x, in depth-first
     (lexicographic by atom order) order."""
     if max_len < 0:
@@ -129,14 +123,14 @@ def enumerate_factorizations(S, x, max_len: int, word_cap: int = DEFAULT_WORD_CA
     admissible = S.completion_test(x)
     if not admissible(S.identity):
         return []
-    # An explicit stack, bounded by word_cap nodes, replaces recursion and
+    # An explicit stack, bounded by WORD_CAP nodes, replaces recursion and
     # its depth limit; children go on in reverse so they come off in order.
-    found, stack, nodes = [], [(S.identity, 0, ())], 0
+    found, stack, nodes, cap = [], [(S.identity, 0, ())], 0, WORD_CAP
     while stack:
         prod, length, word = stack.pop()
         nodes += 1
-        if nodes > word_cap:
-            raise CapExceeded(f"more than {word_cap} prefixes examined")
+        if nodes > cap:
+            raise CapExceeded(f"more than {cap} prefixes examined")
         if prod == x:
             found.append(word)
         if length < max_len:

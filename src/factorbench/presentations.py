@@ -348,16 +348,6 @@ def congruent_bounded(
     return CongruenceResult(CongruenceStatus.UNKNOWN)
 
 
-def validate_chain(P: Presentation, chain) -> bool:
-    """Every word must be over the generators and every consecutive pair must
-    differ by one relation application."""
-    try:
-        words = [P.encode(w) for w in chain]
-    except AlphabetMismatch:
-        return False
-    return all(b in set(_rewrites(a, P.rules)) for a, b in zip(words, words[1:]))
-
-
 # -- the ladder engine -----------------------------------------------------------
 #
 # The engine works on words joined into one string; normal_form and psi check

@@ -27,10 +27,9 @@ from factorbench.presentations import (
     sandwich_power,
     sandwich_xyx,
     ladder_presentation,
-    validate_chain,
     verify_ladder_properties,
 )
-from oracles import class_space_catalog, smallest_prime_factorization, word_catalog
+from oracles import class_space_catalog, smallest_prime_factorization, tuple_chain_valid, word_catalog
 
 
 def _line(num, name, ok, detail=""):
@@ -173,7 +172,7 @@ def test_criterion_07_presentation_examples():
             res.status is CongruenceStatus.EQUIVALENT
             and res.chain[0] == ("x", "z")
             and res.chain[-1] == witness
-            and validate_chain(ladder, res.chain)
+            and tuple_chain_valid(ladder.relations, res.chain)
         )
         checks.append((f"x*z congruent to length-{len(witness)} word {'*'.join(witness)}", witness_ok))
 

@@ -5,8 +5,8 @@ computes each of its quantities once."""
 import factorbench as fb
 from factorbench.cli import main
 from factorbench.core import FiniteMonoid
-from factorbench.corpus import corpus_members
-from factorbench.factorization import AtomAnalysis
+from factorbench.corpus import corpus_members, scan_member
+from factorbench.factorization import AtomAnalysis, LengthSet
 from factorbench.power import atomicity_criterion, build_reduced_power_monoid, kappa_report
 from oracles import path_catalog, potential_labeling, pumpable_vertex, tuple_layered_catalog
 from test_random_monoids import INSTANCES
@@ -129,3 +129,19 @@ def test_power_monoid_is_built_once(monkeypatch, capsys):
     atomicity_criterion(K)
     kappa_report(K)
     assert sizes == [4, 8]
+
+
+def test_scan_member_names_the_first_gap_of_each_pair():
+    # N3 = {1, a, 0} with a*a = 0: L(a) = {1}, L(0) = {2, 3, ...}
+    H = fb.null_monoid(1)
+    assert scan_member("N3", H) == []
+    H.analysis.length_sets[2] = LengthSet.build({3}, 4, 1, {0})
+    assert scan_member("N3", H) == ["N3: lengths 1+1 missing at 1*1"]
+    # L(0) = {2, 3, 7, 8, ...}: the pair (0, 0) misses 4, 5 and 6, and only
+    # its first gap in (a, b) order is named, pairs in (x, y) order
+    H.analysis.length_sets[2] = LengthSet.build({2, 3}, 7, 1, {0})
+    assert scan_member("N3", H) == [
+        "N3: lengths 1+3 missing at 1*2",
+        "N3: lengths 3+1 missing at 2*1",
+        "N3: lengths 2+2 missing at 2*2",
+    ]

@@ -69,9 +69,10 @@ def test_enumerate_integations_against_divisor_tree():
     assert sorted(got) == [(2, 2, 3), (2, 3, 2), (3, 2, 2)]
 
 
-def test_enumerate_explosion_guard(t4):
+def test_enumerate_explosion_guard(t4, monkeypatch):
+    monkeypatch.setattr(factorization, "WORD_CAP", 10)
     with pytest.raises(CapExceeded, match="more than 10 prefixes examined"):
-        fb.enumerate_factorizations(t4, 3, 12, word_cap=10)
+        fb.enumerate_factorizations(t4, 3, 12)
 
 
 def test_nonempty_atom_products_are_never_units(sample_corpus):

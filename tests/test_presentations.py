@@ -22,7 +22,6 @@ from factorbench.presentations import (
     psi,
     sandwich_power,
     sandwich_xyx,
-    validate_chain,
     verify_ladder_properties,
     _random_congruent,
     _random_ladder_word,
@@ -145,14 +144,14 @@ def test_sandwich_power_one_relator_identity():
     res = congruent_bounded(P, ("x",), ("y", "x", "y"))
     assert res.status is CongruenceStatus.EQUIVALENT
     assert len(res.chain) - 1 == 1
-    assert validate_chain(P, res.chain)
+    assert tuple_chain_valid(P.relations, res.chain)
 
 
 def test_ladder_congruence_first_rung():
     lad = ladder_presentation(6)
     res = congruent_bounded(lad, ("x", "z"), ("y", "x", "y", "z", "w"))
     assert res.status is CongruenceStatus.EQUIVALENT
-    assert validate_chain(lad, res.chain)
+    assert tuple_chain_valid(lad.relations, res.chain)
 
 
 def test_ladder_refutation_by_functional():
@@ -292,25 +291,6 @@ def test_length_probe_spends_the_oracle_expansions():
                 assert (probe.lengths, probe.complete) == expected, (P, target, budget)
                 flags.add(probe.complete)
     assert flags == {True, False}
-
-
-def test_validate_chain_keeps_its_answers():
-    rng = Random(17)
-    answers = set()
-    for P, u, _ in _search_pairs(rng):
-        chain = [u]
-        for _ in range(rng.randint(1, 4)):
-            chain.append(_random_steps(rng, P, chain[-1], 1))
-        for candidate in (chain, chain[::-1], chain[::2], chain + [u]):
-            expected = tuple_chain_valid(P.relations, candidate)
-            assert validate_chain(P, candidate) == expected
-            answers.add(expected)
-    assert answers == {True, False}
-    # every word must be over the generators, even where no rewrite touches it
-    P = sandwich_power(1)
-    assert validate_chain(P, [("x",), ("y", "x", "y")])
-    for chain in ([("x",), ("q",)], [("q", "x"), ("q", "y", "x", "y")], [("q",)]):
-        assert not validate_chain(P, chain)
 
 
 def test_encoding_roundtrip_and_unknown_letters():

@@ -11,6 +11,7 @@ import random
 import pytest
 
 import factorbench as fb
+from factorbench import factorization
 from factorbench.core import FiniteMonoid
 from oracles import (
     brute_atoms,
@@ -95,7 +96,8 @@ def test_classifiers_and_catalog(seed, H):
 
 
 @pytest.mark.parametrize("seed,H", INSTANCES, ids=[f"seed{s}" for s, _ in INSTANCES])
-def test_prime_powerful_and_factoriality(seed, H):
+def test_prime_powerful_and_factoriality(seed, H, monkeypatch):
+    monkeypatch.setattr(factorization, "WORD_CAP", 200_000)
     atomic = fb.classify_arithmetic(H).atomic
     for a in H.atoms:
         powerful, _ = fb.is_powerful(H, a)
@@ -104,7 +106,7 @@ def test_prime_powerful_and_factoriality(seed, H):
         if powerful:
             cls = H.atom_class_of[a]
             for x in H.elements():
-                words = fb.enumerate_factorizations(H, x, 5, word_cap=200_000)
+                words = fb.enumerate_factorizations(H, x, 5)
                 vectors = {class_count_vector(H.atom_class_of, len(H.atom_classes), w) for w in words}
                 assert len({v[cls] for v in vectors}) <= 1
     fb.factorial_battery(H)  # internal cross-checks must not trip
