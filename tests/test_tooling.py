@@ -1,7 +1,8 @@
 """Repository checks: the oracles stay independent of the package, the
 scripts run end to end, every command line and the library tour in the
-README run, the README lists exactly the flags each command declares, and
-the error types match what the benchmark reads and what the code raises."""
+README run, the README lists exactly the flags each command declares, the
+error types match what the benchmark reads and what the code raises, and
+every public definition in src/ is used outside itself."""
 
 import argparse
 import ast
