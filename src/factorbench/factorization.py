@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
-from itertools import groupby
+from itertools import compress, groupby, repeat
 from math import gcd, isqrt
+from operator import add, eq, floordiv, gt
 
 from .errors import AlphabetMismatch, CapExceeded, CrossCheckMismatch
 
@@ -38,11 +39,12 @@ class IntegerFragment:
 
     identity = 1
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, primes: tuple[int, ...] | None = None):
+        # primes, if given, are the primes up to limit
         if limit < 1:
             raise ValueError("limit must be >= 1")
         self.limit = limit
-        self.atoms = primes_up_to(limit)
+        self.atoms = primes_up_to(limit) if primes is None else primes
         self.atom_classes = tuple((p,) for p in self.atoms)
         self.atom_class_of = {p: i for i, p in enumerate(self.atoms)}
 
@@ -83,10 +85,10 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
         return ()
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i in range(2, limit + 1) if sieve[i])
+            sieve[p * p :: p] = bytes((limit - p * p) // p + 1)
+    return tuple(compress(range(limit + 1), sieve))
 
 
 # -- words over the atom alphabet -----------------------------------------
@@ -316,28 +318,65 @@ def is_powerful(S, a) -> tuple[bool, tuple | None]:
     return S.powerful(a)
 
 
-def integer_class_table(limit: int) -> list[set[tuple[int, ...]] | None]:
-    """For each n <= limit, every prime multiset realizable by a factorization
-    of n, computed bottom-up over all prime divisors (no uniqueness assumed).
+def integer_class_table(
+    limit: int, primes: tuple[int, ...] | None = None
+) -> list[tuple[tuple[int, ...], ...] | None]:
+    """For each n <= limit, the sorted tuple of the distinct prime multisets
+    (sorted prime tuples) realizable by a factorization of n, with no
+    uniqueness assumed; table[0] is None and table[1] is ((),).  primes, if
+    given, are the primes up to limit.
 
-    table[n] is a set of sorted prime tuples; table[0] is None, table[1] is
-    the singleton empty factorization.
+    A factorization of n is one of n // p followed by a prime p | n, so n's
+    classes are the sorted(c + (p,)) over p | n and the classes c of n // p.
+    word[n] = word[n // P] + (P,), P the largest prime factor of n, is one
+    of them, and table[n] is (word[n],) unless some p | n gives
+    sorted(word[n // p] + (p,)) != word[n] (for p = P the pair is word[n]'s
+    own definition); then it also lists each such candidate.  If every pair
+    agrees, induction on n gives every n exactly one class.  If not, every
+    n below the least n with a disagreement has one class, so that n's entry
+    lists all of its classes, at least two.  So the table shows a second
+    class somewhere iff some n <= limit has two.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    primes = primes_up_to(limit)
-    prime_divisors: list[list[int]] = [[] for _ in range(limit + 1)]
-    for p in primes:
-        for m in range(p, limit + 1, p):
-            prime_divisors[m].append(p)
-    table: list[set[tuple[int, ...]] | None] = [None] * (limit + 1)
-    table[1] = {()}
-    for n in range(2, limit + 1):
-        found: set[tuple[int, ...]] = set()
-        for p in prime_divisors[n]:
-            found.update(tuple(sorted(m + (p,))) for m in table[n // p])
-        table[n] = found
+    if primes is None:
+        primes = primes_up_to(limit)
+    largest = [1] * (limit + 1)
+    for p in primes:  # ascending, so the largest prime factor is written last
+        largest[p::p] = [p] * (limit // p)
+    word: list = [None, ()] + [None] * (limit - 1)
+    lo = 2
+    while lo <= limit:  # block [lo, 2*lo) reads only n // P < lo
+        hi = min(2 * lo, limit + 1)
+        top = largest[lo:hi]
+        word[lo:hi] = map(add, map(word.__getitem__, map(floordiv, range(lo, hi), top)), zip(top))
+        lo = hi
+    table = list(zip(word))
+    table[0] = None
+    for n, classes in _class_disagreements(word, largest, primes).items():
+        table[n] = tuple(sorted(classes))
     return table
+
+
+def _class_disagreements(word, largest, primes) -> dict[int, set[tuple[int, ...]]]:
+    """Each n = p*j, p prime and largest[j] > p, with word[n] !=
+    sorted(word[j] + (p,)), mapped to word[n] and every such candidate.
+    Each prime's candidates are compared with word[p::p] in one pass and
+    walked one by one only if some differ."""
+    limit = len(word) - 1
+    found: dict[int, set[tuple[int, ...]]] = {}
+    for p in primes:
+        top = limit // p
+        if top <= p:  # then every j <= top has largest[j] <= p
+            break
+        above = list(map(gt, largest[1 : top + 1], repeat(p)))
+        wanted = map(tuple, map(sorted, map(add, compress(word[1 : top + 1], above), repeat((p,)))))
+        if not all(map(eq, wanted, compress(word[p::p], above))):
+            for j in compress(range(1, top + 1), above):
+                w, h = tuple(sorted(word[j] + (p,))), word[p * j]
+                if w != h:
+                    found.setdefault(p * j, {h}).add(w)
+    return found
 
 
 # -- factoriality battery -------------------------------------------------------

@@ -546,6 +546,26 @@ def smallest_prime_factorization(n):
     return tuple(out)
 
 
+def integer_class_sets(limit):
+    """For each n <= limit, the set of sorted prime tuples realizable by a
+    factorization of n, bottom-up over every prime divisor: table[n] is the
+    union over p | n of sorted(m + (p,)) for m in table[n // p].  table[0] is
+    None and table[1] is {()}; no uniqueness is assumed."""
+    prime_divisors = [[] for _ in range(limit + 1)]
+    for p in range(2, limit + 1):
+        if not prime_divisors[p]:  # no smaller prime divides p
+            for m in range(p, limit + 1, p):
+                prime_divisors[m].append(p)
+    table = [None] * (limit + 1)
+    table[1] = {()}
+    for n in range(2, limit + 1):
+        found = set()
+        for p in prime_divisors[n]:
+            found.update(tuple(sorted(m + (p,))) for m in table[n // p])
+        table[n] = found
+    return table
+
+
 def integer_prime_scan(limit, p):
     """Primality of p in the integers 1..limit under multiplication, by the
     all-pairs scan: (flag, the first pair (x, y) with x*y <= limit in

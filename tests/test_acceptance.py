@@ -210,7 +210,7 @@ def test_criterion_09_integer_fragment():
     sieve_mismatch = [
         n
         for n in range(2, limit + 1)
-        if table[n] != {smallest_prime_factorization(n)}
+        if table[n] != (smallest_prime_factorization(n),)
     ]
     S = IntegerFragment(limit)
     primes = [p for p in S.atoms if p <= 100]

@@ -24,6 +24,7 @@ from oracles import (
     class_space_catalog,
     divisor_closed_closure,
     domination,
+    integer_class_sets,
     integer_prime_scan,
     is_minimal_word,
     restrict_table,
@@ -635,7 +636,39 @@ def test_integer_class_table_is_unique_and_matches_sieve():
     limit = 2000
     table = integer_class_table(limit)
     for n in range(2, limit + 1):
-        assert table[n] == {smallest_prime_factorization(n)}, n
+        assert table[n] == (smallest_prime_factorization(n),), n
+
+
+def test_integer_class_table_matches_the_set_oracle():
+    for limit in [*range(1, 61), 10**4]:
+        table, oracle = integer_class_table(limit), integer_class_sets(limit)
+        assert len(table) == limit + 1 and table[0] is None and oracle[0] is None, limit
+        for n in range(1, limit + 1):
+            assert set(table[n]) == oracle[n] and table[n] == tuple(sorted(oracle[n])), (limit, n)
+
+
+def test_integer_sieve_and_given_primes():
+    for limit in range(0, 300):
+        trial = tuple(p for p in range(2, limit + 1) if all(p % d for d in range(2, p)))
+        assert primes_up_to(limit) == trial, limit
+    primes = primes_up_to(500)
+    assert integer_class_table(500, primes) == integer_class_table(500)
+    assert IntegerFragment(500, primes).atoms == IntegerFragment(500).atoms == primes
+
+
+def test_class_disagreements_report_a_planted_word():
+    # the integers never disagree, so plant a wrong class on a correct word list
+    limit = 60
+    primes = primes_up_to(limit)
+    word = [None] + [classes[0] for classes in integer_class_table(limit)[1:]]
+    largest = [1, 1] + [w[-1] for w in word[2:]]
+    assert factorization._class_disagreements(word, largest, primes) == {}
+    word[12] = (2, 6)
+    found = factorization._class_disagreements(word, largest, primes)
+    assert min(found) == 12 and found[12] == {(2, 6), (2, 2, 3)}
+    # 24 = 2 * 12 reads the planted word; 36 = 3 * 12 and 60 = 5 * 12 are
+    # definitions, since 12's largest prime is not above 3
+    assert found == {12: {(2, 6), (2, 2, 3)}, 24: {(2, 2, 2, 3), (2, 2, 6)}}
 
 
 @pytest.mark.parametrize("build", [IntegerFragment, integer_class_table])
@@ -657,4 +690,4 @@ def test_integer_word_enumeration_matches_class_table():
             )
             for key in keys
         }
-        assert multisets == table[n], n
+        assert tuple(sorted(multisets)) == table[n], n
