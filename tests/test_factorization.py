@@ -666,8 +666,8 @@ def test_class_disagreements_report_a_planted_word():
     word[12] = (2, 6)
     found = factorization._class_disagreements(word, largest, primes)
     assert min(found) == 12 and found[12] == {(2, 6), (2, 2, 3)}
-    # 24 = 2 * 12 reads the planted word; 36 = 3 * 12 and 60 = 5 * 12 are
-    # definitions, since 12's largest prime is not above 3
+    # 24 = 2 * 12 reads the planted word; 36 = 3 * 12 and 60 = 5 * 12 are the
+    # pairs that define word[36] and word[60], which are not compared
     assert found == {12: {(2, 6), (2, 2, 3)}, 24: {(2, 2, 2, 3), (2, 2, 6)}}
 
 
