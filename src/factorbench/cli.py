@@ -11,7 +11,6 @@ import argparse
 import functools
 import hashlib
 import sys
-from bisect import bisect_right
 from dataclasses import asdict, fields
 
 from . import __version__
@@ -221,17 +220,18 @@ def _cmd_present(ns):
 def _cmd_ints(ns):
     limit = ns.limit
     prime_bound = ns.prime_bound
-    sieved = primes_up_to(max(limit, prime_bound))  # the request's one sieve
-    primes = sieved[: bisect_right(sieved, prime_bound)]
+    primes = primes_up_to(prime_bound)
     if primes and primes[-1] > limit:
         raise FactorbenchError(
             f"--prime-bound {prime_bound} admits the prime {primes[-1]}, above --limit {limit}"
         )
-    S = IntegerFragment(limit, sieved[: bisect_right(sieved, limit)])
+    S = IntegerFragment(limit)
     digest = _digest(f"ints:{limit}:{prime_bound}".encode())
 
-    # Unique factorization: exactly one congruence class per n.
-    classes = integer_class_table(limit, S.atoms)
+    # Unique factorization: exactly one congruence class per n.  The least
+    # n listed has all of its classes; any later n listed is one where a
+    # pair of words disagrees (see integer_class_table).
+    classes = integer_class_table(limit)
     non_unique = [n for n in range(2, limit + 1) if len(classes[n]) != 1]
 
     prime_failures = [p for p in primes if not is_prime(S, p)[0]]

@@ -39,12 +39,11 @@ class IntegerFragment:
 
     identity = 1
 
-    def __init__(self, limit: int, primes: tuple[int, ...] | None = None):
-        # primes, if given, are the primes up to limit
+    def __init__(self, limit: int):
         if limit < 1:
             raise ValueError("limit must be >= 1")
         self.limit = limit
-        self.atoms = primes_up_to(limit) if primes is None else primes
+        self.atoms = primes_up_to(limit)
         self.atom_classes = tuple((p,) for p in self.atoms)
         self.atom_class_of = {p: i for i, p in enumerate(self.atoms)}
 
@@ -318,13 +317,10 @@ def is_powerful(S, a) -> tuple[bool, tuple | None]:
     return S.powerful(a)
 
 
-def integer_class_table(
-    limit: int, primes: tuple[int, ...] | None = None
-) -> list[tuple[tuple[int, ...], ...] | None]:
+def integer_class_table(limit: int) -> list[tuple[tuple[int, ...], ...] | None]:
     """For each n <= limit, the sorted tuple of the distinct prime multisets
     (sorted prime tuples) realizable by a factorization of n, with no
-    uniqueness assumed; table[0] is None and table[1] is ((),).  primes, if
-    given, are the primes up to limit.
+    uniqueness assumed; table[0] is None and table[1] is ((),).
 
     A factorization of n is one of n // p followed by a prime p | n, so n's
     classes are the sorted(c + (p,)) over p | n and the classes c of n // p.
@@ -335,12 +331,13 @@ def integer_class_table(
     agrees, induction on n gives every n exactly one class.  If not, every
     n below the least n with a disagreement has one class, so that n's entry
     lists all of its classes, at least two.  So the table shows a second
-    class somewhere iff some n <= limit has two.
+    class somewhere iff some n <= limit has two.  Past that n, an entry
+    lists only the classes read off the words, so a later n with two
+    classes may show one.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if primes is None:
-        primes = primes_up_to(limit)
+    primes = primes_up_to(limit)
     largest = [1] * (limit + 1)
     for p in primes:  # ascending, so the largest prime factor is written last
         largest[p::p] = [p] * (limit // p)

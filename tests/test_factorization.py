@@ -647,13 +647,10 @@ def test_integer_class_table_matches_the_set_oracle():
             assert set(table[n]) == oracle[n] and table[n] == tuple(sorted(oracle[n])), (limit, n)
 
 
-def test_integer_sieve_and_given_primes():
+def test_primes_up_to_matches_trial_division():
     for limit in range(0, 300):
         trial = tuple(p for p in range(2, limit + 1) if all(p % d for d in range(2, p)))
         assert primes_up_to(limit) == trial, limit
-    primes = primes_up_to(500)
-    assert integer_class_table(500, primes) == integer_class_table(500)
-    assert IntegerFragment(500, primes).atoms == IntegerFragment(500).atoms == primes
 
 
 def test_class_disagreements_report_a_planted_word():
