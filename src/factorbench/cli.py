@@ -139,18 +139,18 @@ def _cmd_factorize(ns):
 
 def _cmd_powerset(ns):
     K, digest = _load_monoid(ns)
-    build = build_reduced_power_monoid(K)
+    P = build_reduced_power_monoid(K)
     criterion = atomicity_criterion(K)
     report = kappa_report(K)
     payload = {
         "base_size": K.size,
-        "result_size": build.result.size,
+        "result_size": P.size,
         "atomicity_criterion": criterion,
         "kappa": report.kappa,
         "bound": report.bound,
         "attains_bound": report.attains_bound,
-        "reduced": sorted(build.result.units) == [0],
-        "subsets": list(build.result.names),
+        "reduced": sorted(P.units) == [0],
+        "subsets": list(P.names),
     }
     return 0, digest, payload
 
@@ -228,11 +228,11 @@ def _cmd_ints(ns):
     S = IntegerFragment(limit)
     digest = _digest(f"ints:{limit}:{prime_bound}".encode())
 
-    # Unique factorization: exactly one congruence class per n.  The least
-    # n listed has all of its classes; any later n listed is one where a
-    # pair of words disagrees (see integer_class_table).
+    # Unique factorization: exactly one congruence class per n.  The table
+    # is exact up to the least n with two classes (see integer_class_table),
+    # so that n alone is reported.
     classes = integer_class_table(limit)
-    non_unique = [n for n in range(2, limit + 1) if len(classes[n]) != 1]
+    non_unique = next(([n] for n in range(2, limit + 1) if len(classes[n]) != 1), [])
 
     prime_failures = [p for p in primes if not is_prime(S, p)[0]]
     powerful_failures = [p for p in primes if not is_powerful(S, p)[0]]
@@ -241,7 +241,7 @@ def _cmd_ints(ns):
         "limit": limit,
         "prime_bound": prime_bound,
         "checked": limit - 1,
-        "non_unique": non_unique[:10],
+        "non_unique": non_unique,
         "primes_checked": len(primes),
         "prime_failures": prime_failures,
         "powerful_failures": powerful_failures,
@@ -390,7 +390,7 @@ _HANDLERS = {
 def dispatch(ns) -> int:
     # Each command declares only the flags it reads.
     lowest = {
-        "max_len": 0, "budget": 1, "seed": 0, "max_order": 0,
+        "max_len": 0, "n": 1, "budget": 1, "seed": 0, "max_order": 0,
         "samples": 0, "limit": 1, "prime_bound": 0,
     }
     for dest, low in lowest.items():

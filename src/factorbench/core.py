@@ -33,18 +33,6 @@ def _check_order(order: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class AssociationPartition:
-    """Partition of the carrier into two-sided associate classes u*x*v (u, v units).
-
-    class_of[x] is the index of x's class; classes are ordered by smallest
-    member, so representatives are reproducible.
-    """
-
-    class_of: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class PropertyReport:
     """Structural flags of a finite monoid, with a counterexample per false flag.
 
@@ -177,7 +165,9 @@ class FiniteMonoid:
     C speed for g generators (g is 1 for a cyclic group and n - 2 for a null
     monoid, which no smaller set generates), O(n^2 * g) byte operations but
     only O(n * g) steps of Python.  It eagerly computes the unit group and the
-    association partition from whole rows as well.
+    association from whole rows as well: association[x] is the index of x's
+    two-sided associate class u*x*v (u, v units), classes numbered by their
+    smallest member.
     Instances are immutable and all queries are pure, so they are safe to
     share between workers.
     """
@@ -215,7 +205,7 @@ class FiniteMonoid:
         self.size = n
         self.table = rows
         self.names = names
-        self.units, self.inverse = self._compute_units()
+        self.units = self._compute_units()
         self.association = self._compute_association()
 
     # -- basic queries -------------------------------------------------
@@ -232,10 +222,6 @@ class FiniteMonoid:
     def divides(self, x: int, y: int) -> bool:
         """x divides y: y = u*x*v for some u, v in H."""
         return y in self._two_sided_orbits[x]
-
-    def associated(self, x: int, y: int) -> bool:
-        """x and y differ by unit factors on both sides."""
-        return self.association.class_of[x] == self.association.class_of[y]
 
     def index_of(self, name: str) -> int:
         try:
@@ -259,33 +245,28 @@ class FiniteMonoid:
         # In a finite monoid u*v == 1 forces v*u == 1 and a unique v, so the
         # first 1 in row u is u's inverse if u has one.
         t = self.table
-        inverse = {}
-        for u, row in enumerate(t):
-            if 0 in row:
-                v = row.index(0)
-                if t[v][u] == 0:
-                    inverse[u] = v
-        return frozenset(inverse), inverse
+        return frozenset(
+            u for u, row in enumerate(t) if 0 in row and t[row.index(0)][u] == 0
+        )
 
     def _compute_association(self):
         n = self.size
         t = self.table
         units = sorted(self.units)
         if len(units) == 1:
-            return AssociationPartition(tuple(range(n)), tuple((x,) for x in range(n)))
+            return tuple(range(n))
         at_units = itemgetter(*units)
         class_of = [-1] * n
-        classes = []
+        idx = 0
         for x in range(n):
             if class_of[x] >= 0:
                 continue
             left = {t[u][x] for u in units}
-            orbit = sorted(set().union(*(at_units(t[y]) for y in left)))
-            idx = len(classes)
+            orbit = set().union(*(at_units(t[y]) for y in left))
             for y in orbit:
                 class_of[y] = idx
-            classes.append(tuple(orbit))
-        return AssociationPartition(tuple(class_of), tuple(classes))
+            idx += 1
+        return tuple(class_of)
 
     @cached_property
     def atoms(self) -> tuple[int, ...]:
@@ -304,13 +285,12 @@ class FiniteMonoid:
         """Associate classes of the atom alphabet, ordered by smallest member.
 
         Sandwiching an atom between units yields an atom, so the association
-        partition restricts cleanly to the atoms.
+        restricts cleanly to the atoms.
         """
-        part = self.association
         seen: dict[int, int] = {}
         classes: list[list[int]] = []
         for a in self.atoms:
-            c = part.class_of[a]
+            c = self.association[a]
             if c in seen:
                 classes[seen[c]].append(a)
             else:
@@ -330,9 +310,9 @@ class FiniteMonoid:
 
     @cached_property
     def reduced_power(self):
-        """The power.PowerMonoidBuild of this monoid, built on first use."""
-        from .power import PowerMonoidBuild
-        return PowerMonoidBuild.of(self)
+        """The reduced power monoid of this monoid, built on first use."""
+        from .power import _setwise_monoid
+        return _setwise_monoid(self)
 
     @cached_property
     def _two_sided_orbits(self) -> tuple[frozenset[int], ...]:

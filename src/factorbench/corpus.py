@@ -55,8 +55,7 @@ def curated_corpus() -> list[tuple[str, FiniteMonoid]]:
         ("gl(2,3)", gl(2, 3)),
     ]
     members += [
-        (f"P1(C{m})", build_reduced_power_monoid(cyclic(m)).result)
-        for m in range(2, 6)
+        (f"P1(C{m})", build_reduced_power_monoid(cyclic(m))) for m in range(2, 6)
     ]
     return members
 
@@ -98,8 +97,8 @@ def scan_member(name: str, H: FiniteMonoid, horizon: int = SUBADDITIVITY_HORIZON
     return violations
 
 
-def scan_corpus(max_order: int = 3, horizon: int = SUBADDITIVITY_HORIZON) -> list[str]:
+def scan_corpus(max_order: int = 3) -> list[str]:
     violations = []
     for name, H in corpus_members(max_order):
-        violations += scan_member(name, H, horizon)
+        violations += scan_member(name, H)
     return violations

@@ -1,14 +1,16 @@
 """Factorization into atoms: enumeration, length sets, congruence classes,
 minimal catalogs, primes, powerful atoms, and the classifier batteries.
 
-Every operation here works over a "factorization system": a carrier exposing
-identity, mul, is_unit, elements, divides, an atom alphabet, its associate
-classes and three answers: completion_test(x), a predicate on prefix products
-(can the prefix still be completed to x?); prime_candidates(p), the pairs that
-could refute p's primality, in lexicographic order; and powerful(a), as
-is_powerful returns it.  FiniteMonoid (from .core) answers from H.analysis,
-which the finite-only deciders read too, and offers every pair.  IntegerFragment
-(1..limit under multiplication, atoms = primes) answers by arithmetic.
+pi_eval, enumerate_factorizations, is_prime and is_powerful work over any
+"factorization system": a carrier exposing identity, mul, is_unit, elements,
+divides, an atom alphabet (atoms, and atom_class_of keyed by them) and three
+answers: completion_test(x), a predicate on prefix products (can the prefix
+still be completed to x?); prime_candidates(p), the pairs that could refute
+p's primality, in lexicographic order; and powerful(a), as is_powerful
+returns it.  FiniteMonoid (from .core) answers from H.analysis, which the
+finite-only operations (length sets, classifiers, catalogs, the factorial
+battery) read too, and offers every pair.  IntegerFragment (1..limit under
+multiplication, atoms = primes) answers by arithmetic.
 
 Atom words are plain tuples of carrier elements; the empty tuple is the empty
 word.
@@ -44,7 +46,6 @@ class IntegerFragment:
             raise ValueError("limit must be >= 1")
         self.limit = limit
         self.atoms = primes_up_to(limit)
-        self.atom_classes = tuple((p,) for p in self.atoms)
         self.atom_class_of = {p: i for i, p in enumerate(self.atoms)}
 
     def elements(self) -> range:

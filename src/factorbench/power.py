@@ -12,53 +12,36 @@ from .errors import CrossCheckMismatch
 from .factorization import classify_arithmetic, minimal_catalog
 
 
-@dataclass(frozen=True)
-class PowerMonoidBuild:
-    """The reduced power monoid of a base monoid.
+def _setwise_monoid(K: FiniteMonoid) -> FiniteMonoid:
+    """The reduced power monoid of K, by one union per table entry.
 
-    Elements of the result are indexed by the numeric value of their
-    characteristic bitmask over the base (bit 0, the identity, always set),
-    so the singleton {1} is element 0.  subset_of maps each result element to
-    the underlying set of base elements.
-    """
-
-    base: FiniteMonoid
-    result: FiniteMonoid
-    subset_of: tuple[frozenset[int], ...]
-
-    @classmethod
-    def of(cls, K: FiniteMonoid) -> "PowerMonoidBuild":
-        """The setwise table by one union per entry.  For each base element x,
-        x*B over every mask B grows from B minus its lowest bit; then the row
-        of A is (A minus its top bit)*B | top*B over the row of a smaller A.
-        Every mask holds the identity, so bit 0 of each product is set and
-        products are kept shifted right by one, as element indices."""
-        n = K.size
-        _check_order(1 << (n - 1), f"the reduced power monoid of a base of size {n}")
-        masks = range(1, 1 << n, 2)
-
-        def bits(mask):
-            return [i for i in range(n) if mask >> i & 1]
-
-        images = []
-        for row in K.table:
-            image = [0] * (1 << n)
-            for b in range(1, 1 << n):
-                low = b & -b
-                image[b] = image[b ^ low] | 1 << row[low.bit_length() - 1]
-            images.append([m >> 1 for m in image[1::2]])
-        table = [images[0]]
-        for ma in masks[1:]:
-            top = ma.bit_length() - 1
-            table.append(list(map(or_, table[(ma ^ 1 << top) >> 1], images[top])))
-        names = tuple(
-            "{" + ",".join(K.names[i] for i in bits(m)) + "}" for m in masks
-        )
-        result = FiniteMonoid(table, names)
-        return cls(K, result, tuple(frozenset(bits(m)) for m in masks))
+    Each element is a characteristic bitmask over the base with bit 0, the
+    identity, always set; its index is the mask shifted right by one, so the
+    singleton {1} is element 0, and its name spells out the subset.  For
+    each base element x, x*B over every mask B grows from B minus its lowest
+    bit; then the row of A is (A minus its top bit)*B | top*B over the row
+    of a smaller A."""
+    n = K.size
+    _check_order(1 << (n - 1), f"the reduced power monoid of a base of size {n}")
+    masks = range(1, 1 << n, 2)
+    images = []
+    for row in K.table:
+        image = [0] * (1 << n)
+        for b in range(1, 1 << n):
+            low = b & -b
+            image[b] = image[b ^ low] | 1 << row[low.bit_length() - 1]
+        images.append([m >> 1 for m in image[1::2]])
+    table = [images[0]]
+    for ma in masks[1:]:
+        top = ma.bit_length() - 1
+        table.append(list(map(or_, table[(ma ^ 1 << top) >> 1], images[top])))
+    names = tuple(
+        "{" + ",".join(K.names[i] for i in range(n) if m >> i & 1) + "}" for m in masks
+    )
+    return FiniteMonoid(table, names)
 
 
-def build_reduced_power_monoid(K: FiniteMonoid) -> PowerMonoidBuild:
+def build_reduced_power_monoid(K: FiniteMonoid) -> FiniteMonoid:
     """The reduced power monoid of K, built once and kept as K.reduced_power."""
     return K.reduced_power
 
@@ -70,7 +53,7 @@ def atomicity_criterion(K: FiniteMonoid) -> bool:
     syntactic = all(
         K.table[x][x] != 0 and K.table[x][x] != x for x in range(1, K.size)
     )
-    direct = classify_arithmetic(build_reduced_power_monoid(K).result).atomic
+    direct = classify_arithmetic(build_reduced_power_monoid(K)).atomic
     if syntactic != direct:
         raise CrossCheckMismatch(
             f"power-monoid atomicity: criterion={syntactic}, direct={direct}"
@@ -83,15 +66,12 @@ class KappaReport:
     kappa: int
     bound: int
     attains_bound: bool
-    atomic: bool
 
 
 def kappa_report(K: FiniteMonoid) -> KappaReport:
     """kappa of the reduced power monoid against the proven bound |K| - 1."""
-    P = build_reduced_power_monoid(K).result
-    cat = minimal_catalog(P)
+    cat = minimal_catalog(build_reduced_power_monoid(K))
     bound = K.size - 1
     if cat.kappa > bound:
         raise CrossCheckMismatch(f"kappa {cat.kappa} exceeds bound {bound}")
-    atomic = classify_arithmetic(P).atomic
-    return KappaReport(cat.kappa, bound, cat.kappa == bound, atomic)
+    return KappaReport(cat.kappa, bound, cat.kappa == bound)

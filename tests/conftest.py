@@ -21,7 +21,7 @@ def h2():
 
 @pytest.fixture(scope="session")
 def pow_c3():
-    return build_reduced_power_monoid(fb.cyclic(3)).result
+    return build_reduced_power_monoid(fb.cyclic(3))
 
 
 def _sample_corpus():
@@ -35,9 +35,9 @@ def _sample_corpus():
         ("C3", fb.cyclic(3)),
         ("C5", fb.cyclic(5)),
         ("N3xC2", fb.direct_product(n3, fb.cyclic(2))),
-        ("P1(C2)", build_reduced_power_monoid(fb.cyclic(2)).result),
-        ("P1(C3)", build_reduced_power_monoid(fb.cyclic(3)).result),
-        ("P1(C4)", build_reduced_power_monoid(fb.cyclic(4)).result),
+        ("P1(C2)", build_reduced_power_monoid(fb.cyclic(2))),
+        ("P1(C3)", build_reduced_power_monoid(fb.cyclic(3))),
+        ("P1(C4)", build_reduced_power_monoid(fb.cyclic(4))),
     ]
 
 

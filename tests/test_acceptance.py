@@ -108,7 +108,7 @@ def test_criterion_05_dichotomy_and_kappa(members):
         assert union == tuple(range(kappa + 1)), name
 
     assert fb.minimal_catalog(fb.null_monoid(1)).kappa == 2
-    p3 = fb.build_reduced_power_monoid(fb.cyclic(3)).result
+    p3 = fb.build_reduced_power_monoid(fb.cyclic(3))
     assert fb.minimal_catalog(p3).kappa == 2
 
     start = time.time()

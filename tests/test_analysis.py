@@ -18,7 +18,7 @@ def test_potentials_and_cycles_match_oracles(sample_corpus):
     # every atom class meets its conflict before the search ends on these two
     monoids += [
         ("null(22)", fb.null_monoid(22)),
-        ("P(C6)", build_reduced_power_monoid(fb.cyclic(6)).result),
+        ("P(C6)", build_reduced_power_monoid(fb.cyclic(6))),
     ]
     for name, H in monoids:
         for a in H.atoms:
@@ -30,8 +30,8 @@ def test_catalog_matches_path_oracle(sample_corpus):
     monoids = sample_corpus + corpus_members(3)
     monoids += [(f"seed{seed}", H) for seed, H in INSTANCES]
     monoids += [
-        ("P(N3)", build_reduced_power_monoid(fb.null_monoid(1)).result),
-        ("P(C4)", build_reduced_power_monoid(fb.cyclic(4)).result),
+        ("P(N3)", build_reduced_power_monoid(fb.null_monoid(1))),
+        ("P(C4)", build_reduced_power_monoid(fb.cyclic(4))),
         ("null(5)", fb.null_monoid(5)),
     ]
     for name, H in monoids:
@@ -53,11 +53,11 @@ def _catalog_pairs(H):
 def test_packed_catalog_matches_tuple_scan(sample_corpus):
     monoids = sample_corpus + corpus_members(3)
     monoids += [(f"seed{seed}", H) for seed, H in INSTANCES]
-    monoids += [(f"P(C{m})", build_reduced_power_monoid(fb.cyclic(m)).result) for m in range(4, 8)]
+    monoids += [(f"P(C{m})", build_reduced_power_monoid(fb.cyclic(m))) for m in range(4, 8)]
     monoids += [
-        ("P(N3)", build_reduced_power_monoid(fb.null_monoid(1)).result),
-        ("P(N4)", build_reduced_power_monoid(fb.null_monoid(2)).result),
-        ("P(C2xC2)", build_reduced_power_monoid(fb.direct_product(fb.cyclic(2), fb.cyclic(2))).result),
+        ("P(N3)", build_reduced_power_monoid(fb.null_monoid(1))),
+        ("P(N4)", build_reduced_power_monoid(fb.null_monoid(2))),
+        ("P(C2xC2)", build_reduced_power_monoid(fb.direct_product(fb.cyclic(2), fb.cyclic(2)))),
     ]
     monoids += [(f"null({k})", fb.null_monoid(k)) for k in (5, 20, 60)]
     for name, H in monoids:

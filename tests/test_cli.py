@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factorbench as fb
-from factorbench import factorization
+from factorbench import cli, factorization
 from factorbench.cli import main
+from factorbench.factorization import integer_class_table
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +157,21 @@ def test_ints_small(capsys):
     assert code == 0
     body = json.loads(out)["report"]
     assert body["ok"] is True and body["non_unique"] == []
+
+
+def test_ints_reports_only_the_least_n_with_two_classes(capsys, monkeypatch):
+    # past the least n with two classes the table may miss a second class,
+    # so a later listed n would be no exact claim
+    def planted(limit):
+        table = integer_class_table(limit)
+        table[12] = ((2, 2, 3), (2, 3, 3))
+        table[24] = ((2, 2, 2, 3), (2, 2, 3, 3))
+        return table
+
+    monkeypatch.setattr(cli, "integer_class_table", planted)
+    code, out, _ = run_cli(capsys, "ints", "--limit", "30", "--prime-bound", "10")
+    body = json.loads(out)["report"]
+    assert code == 2 and body["non_unique"] == [12] and body["ok"] is False
 
 
 def test_ints_prime_bound_above_limit(capsys):
@@ -349,6 +365,19 @@ def test_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
     assert exc.value.code != 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["present", "nf", "x*z", "--family", "ladder", "--n", "-3"],
+        ["present", "adian", "--family", "sandwich-power", "--n", "0"],
+    ],
+)
+def test_n_below_one_exits_1_naming_the_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"factorbench: --n {argv[-1]} is below 1\n"
 
 
 def test_conflicting_sources_are_usage_errors(tmp_path, capsys):

@@ -17,8 +17,8 @@ from factorbench.cli import main
 from factorbench.core import dump_cayley
 
 FILE_INPUTS = {
-    "P(C3)": lambda: dump_cayley(fb.build_reduced_power_monoid(fb.cyclic(3)).result),
-    "P(C5)": lambda: dump_cayley(fb.build_reduced_power_monoid(fb.cyclic(5)).result),
+    "P(C3)": lambda: dump_cayley(fb.build_reduced_power_monoid(fb.cyclic(3))),
+    "P(C5)": lambda: dump_cayley(fb.build_reduced_power_monoid(fb.cyclic(5))),
     "N3xC2": lambda: dump_cayley(fb.direct_product(fb.null_monoid(1), fb.cyclic(2))),
     "A1B2": lambda: "gens: a1 b2; rel: a1*a1 = b2*a1*a1*b2\n",
 }

@@ -14,39 +14,50 @@ from factorbench.power import (
 from oracles import idempotents, setwise_power_table
 
 
+def _spelled(K, subsets):
+    """The element names that spell out these subsets of K."""
+    return tuple("{" + ",".join(K.names[i] for i in sorted(s)) + "}" for s in subsets)
+
+
 def test_build_c2():
-    build = build_reduced_power_monoid(fb.cyclic(2))
-    assert build.result.size == 2
-    assert build.result.names == ("{1}", "{1,g}")
-    assert build.subset_of == (frozenset({0}), frozenset({0, 1}))
+    K = fb.cyclic(2)
+    P = build_reduced_power_monoid(K)
+    assert P.size == 2
+    assert P.names == ("{1}", "{1,g}")
+    subset_of = setwise_power_table(K.table, K.names)[2]
+    assert subset_of == [frozenset({0}), frozenset({0, 1})]
+    assert P.names == _spelled(K, subset_of)
 
 
 def test_build_c3_setwise_products():
-    build = build_reduced_power_monoid(fb.cyclic(3))
-    P = build.result
+    K = fb.cyclic(3)
+    P = build_reduced_power_monoid(K)
     assert P.size == 4
     b = P.names.index("{1,g}")
     full = P.names.index("{1,g,g^2}")
     assert P.mul(b, b) == full
     # setwise product recomputed from the base by hand
-    K = build.base
-    pairwise = {K.mul(x, y) for x in build.subset_of[b] for y in build.subset_of[b]}
-    assert pairwise == build.subset_of[P.mul(b, b)]
+    subset_of = setwise_power_table(K.table, K.names)[2]
+    assert P.names == _spelled(K, subset_of)
+    pairwise = {K.mul(x, y) for x in subset_of[b] for y in subset_of[b]}
+    assert pairwise == subset_of[P.mul(b, b)]
 
 
 def test_build_c5_size():
-    assert build_reduced_power_monoid(fb.cyclic(5)).result.size == 16
+    assert build_reduced_power_monoid(fb.cyclic(5)).size == 16
 
 
 def test_every_subset_contains_identity():
     for m in range(2, 6):
-        build = build_reduced_power_monoid(fb.cyclic(m))
-        assert all(0 in s for s in build.subset_of)
+        K = fb.cyclic(m)
+        subset_of = setwise_power_table(K.table, K.names)[2]
+        assert all(0 in s for s in subset_of)
+        assert build_reduced_power_monoid(K).names == _spelled(K, subset_of)
 
 
 def test_power_monoids_are_reduced():
     for m in range(2, 6):
-        P = build_reduced_power_monoid(fb.cyclic(m)).result
+        P = build_reduced_power_monoid(fb.cyclic(m))
         assert sorted(P.units) == [0]
 
 
@@ -71,17 +82,21 @@ def test_atomicity_criterion_cross_checks_on_small_bases(sample_corpus):
 
 
 def test_kappa_reports():
+    def atomic(K):
+        return fb.classify_arithmetic(build_reduced_power_monoid(K)).atomic
+
     rep = kappa_report(fb.cyclic(3))
-    assert (rep.kappa, rep.bound, rep.attains_bound, rep.atomic) == (2, 2, True, True)
+    assert (rep.kappa, rep.bound, rep.attains_bound) == (2, 2, True)
+    assert atomic(fb.cyclic(3))
     rep = kappa_report(fb.cyclic(5))
     assert (rep.kappa, rep.bound, rep.attains_bound) == (4, 4, True)
     rep = kappa_report(fb.cyclic(2))
-    assert rep.kappa <= 1 and not rep.atomic
+    assert rep.kappa <= 1 and not atomic(fb.cyclic(2))
 
 
 def test_atomicity_routes_can_disagree():
     K = fb.cyclic(3)
-    P = build_reduced_power_monoid(K).result
+    P = build_reduced_power_monoid(K)
     P.analysis.__dict__["flags"] = replace(fb.classify_arithmetic(P), atomic=False)
     with pytest.raises(CrossCheckMismatch, match="^power-monoid atomicity: criterion=True, direct=False$"):
         atomicity_criterion(K)
@@ -89,7 +104,7 @@ def test_atomicity_routes_can_disagree():
 
 def test_kappa_above_the_bound_is_a_cross_check_mismatch():
     K = fb.cyclic(3)
-    build_reduced_power_monoid(K).result.analysis.__dict__["catalog"] = MinimalCatalog({}, 5)
+    build_reduced_power_monoid(K).analysis.__dict__["catalog"] = MinimalCatalog({}, 5)
     with pytest.raises(CrossCheckMismatch, match="^kappa 5 exceeds bound 2$"):
         kappa_report(K)
 
@@ -118,17 +133,18 @@ def test_union_build_matches_setwise_products():
     bases = [(name, K) for name, K in corpus_members(3) if K.size <= 6]
     bases += [("C7", fb.cyclic(7)), ("L7", fb.null_monoid(5))]
     for name, K in bases:
-        build = build_reduced_power_monoid(K)
+        P = build_reduced_power_monoid(K)
         table, names, subset_of = setwise_power_table(K.table, K.names)
-        assert build.result.table == tuple(map(tuple, table)), name
-        assert build.result.names == tuple(names), name
-        assert build.subset_of == tuple(subset_of), name
+        assert P.table == tuple(map(tuple, table)), name
+        assert P.names == tuple(names), name
+        assert P.names == _spelled(K, subset_of), name
 
 
 def test_power_monoid_of_the_one_element_base():
-    build = build_reduced_power_monoid(fb.trivial())
-    assert build.result.table == ((0,),)
-    assert build.result.names == ("{1}",)
-    assert build.subset_of == (frozenset({0}),)
+    K = fb.trivial()
+    P = build_reduced_power_monoid(K)
+    assert P.table == ((0,),)
+    assert P.names == ("{1}",)
+    assert setwise_power_table(K.table, K.names)[2] == [frozenset({0})]
     rep = kappa_report(fb.trivial())
     assert (rep.kappa, rep.bound, rep.attains_bound) == (0, 0, True)

@@ -1,8 +1,9 @@
 """Repository checks: the oracles stay independent of the package, the
 scripts run end to end, every command line and the library tour in the
 README run, the README lists exactly the flags each command declares, the
-error types match what the benchmark reads and what the code raises, and
-every public definition in src/ is used outside itself."""
+error types match what the benchmark reads and what the code raises,
+every public definition in src/ is used outside itself, and every public
+member of a class in src/ is read in src/ or scripts/."""
 
 import argparse
 import ast
@@ -150,6 +151,43 @@ def test_every_public_definition_is_named_outside_itself():
                 if name and name != own:
                     named.add(name)
     assert not {f"{module}.{name}" for module, name in public if name not in named}
+
+
+def test_every_public_member_is_read_in_src_or_scripts():
+    # the member-level twin of the check above: a public method, dataclass
+    # field or self. attribute that src/ and scripts/ never load as an
+    # attribute or pass as a keyword is surface that only tests reach.
+    # errors.py classes carry data for the caller, and LadderVerification's
+    # fields reach the report through asdict.
+    sources = list((ROOT / "src" / "factorbench").glob("*.py"))
+    sources += (ROOT / "scripts").glob("*.py")
+    members, read = set(), set()
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                read.add(node.arg)
+        if path.parent.name != "factorbench" or path.stem == "errors":
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name == "LadderVerification":
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    members.add((cls.name, stmt.name))
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    members.add((cls.name, stmt.target.id))
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self"
+                ):
+                    members.add((cls.name, node.attr))
+    unread = {f"{cls}.{name}" for cls, name in members if not name.startswith("_") and name not in read}
+    assert not unread
 
 
 def _error_classes():
