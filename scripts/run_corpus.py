@@ -12,7 +12,6 @@ from factorbench.errors import FactorbenchError
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-order", type=int, default=3)
-    parser.add_argument("--horizon", type=int, default=30)
     args = parser.parse_args()
 
     start = time.time()
@@ -23,7 +22,7 @@ def main() -> int:
         print(f"run_corpus: {exc}", file=sys.stderr)
         return 1
     for name, H in members:
-        violations = scan_member(name, H, args.horizon)
+        violations = scan_member(name, H)
         total_violations += len(violations)
         verdict = "ok" if not violations else f"{len(violations)} VIOLATIONS"
         print(f"{name:<12} |H|={H.size:<4} {verdict}")

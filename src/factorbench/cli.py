@@ -11,7 +11,7 @@ import argparse
 import functools
 import hashlib
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 from . import __version__
 from .core import (
@@ -97,10 +97,6 @@ def _element_payload(H: FiniteMonoid, x: int) -> dict:
     }
 
 
-def _flags(report) -> dict:
-    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "witnesses"}
-
-
 def _monoid_payload(H: FiniteMonoid) -> dict:
     rep = property_battery(H)
     kappa, union_lengths = kappa_and_dichotomy(H)
@@ -109,9 +105,9 @@ def _monoid_payload(H: FiniteMonoid) -> dict:
     }
     return {
         "size": H.size,
-        "properties": {**_flags(rep), "witnesses": witness_names},
-        "classifiers": _flags(classify_arithmetic(H)),
-        "factoriality": _flags(factorial_battery(H)),
+        "properties": {**vars(rep), "witnesses": witness_names},
+        "classifiers": dict(vars(classify_arithmetic(H))),
+        "factoriality": dict(vars(factorial_battery(H))),
         "atoms": [H.names[a] for a in H.atoms],
         "units": [H.names[u] for u in sorted(H.units)],
         "kappa": kappa,

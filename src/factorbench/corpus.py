@@ -69,7 +69,7 @@ def corpus_members(max_order: int = 3) -> list[tuple[str, FiniteMonoid]]:
     return out
 
 
-def scan_member(name: str, H: FiniteMonoid, horizon: int = SUBADDITIVITY_HORIZON) -> list[str]:
+def scan_member(name: str, H: FiniteMonoid) -> list[str]:
     """Check the structural invariants one corpus member must satisfy;
     returns human-readable violation strings (empty = clean)."""
     violations = []
@@ -87,7 +87,7 @@ def scan_member(name: str, H: FiniteMonoid, horizon: int = SUBADDITIVITY_HORIZON
         if idempotents:
             violations.append(f"{name}: acyclic with non-trivial idempotents {idempotents}")
     lsets = H.analysis.length_sets
-    lengths = [(x, lx) for x in H.elements() if (lx := lsets[x].up_to(horizon))]
+    lengths = [(x, lx) for x in H.elements() if (lx := lsets[x].up_to(SUBADDITIVITY_HORIZON))]
     for x, lx in lengths:
         for y, ly in lengths:
             lxy = lsets[H.mul(x, y)]

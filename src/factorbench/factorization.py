@@ -94,6 +94,11 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
 # -- words over the atom alphabet -----------------------------------------
 
 
+def _require_element(S, x) -> None:
+    if x not in S.elements():
+        raise ValueError(f"{x!r} is not an element")
+
+
 def pi_eval(S, w):
     """Evaluate an atom word left to right; the empty word gives the identity."""
     x = S.identity
@@ -122,6 +127,7 @@ def enumerate_factorizations(S, x, max_len: int) -> list[tuple]:
     (lexicographic by atom order) order."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
+    _require_element(S, x)
     admissible = S.completion_test(x)
     if not admissible(S.identity):
         return []
@@ -215,6 +221,7 @@ class LengthSet:
 def length_set(H, x) -> LengthSet:
     """Exact set of atom-word lengths evaluating to x (see
     AtomAnalysis.length_sets)."""
+    _require_element(H, x)
     return H.analysis.length_sets[x]
 
 
@@ -224,13 +231,12 @@ def length_set(H, x) -> LengthSet:
 @dataclass(frozen=True)
 class ArithmeticFlags:
     """atomic / bounded lengths (BF) / finitely many classes (FF) /
-    half-factorial (HF), with a counterexample per false flag."""
+    half-factorial (HF)."""
 
     atomic: bool
     bf: bool
     ff: bool
     hf: bool
-    witnesses: dict[str, object]
 
 
 def classify_arithmetic(H) -> ArithmeticFlags:
@@ -289,8 +295,7 @@ def is_prime(S, p) -> tuple[bool, tuple | None]:
     """p is prime iff it is a non-unit that divides a product only by dividing
     a factor.  Returns (flag, counterexample): the first pair (x, y) of
     S.prime_candidates(p) with p | x*y but p dividing neither, or None."""
-    if p not in S.elements():
-        raise ValueError(f"{p!r} is not an element")
+    _require_element(S, p)
     if S.is_unit(p):
         return False, None
     for x, y in S.prime_candidates(p):
@@ -396,19 +401,12 @@ class FactorialFlags:
     hmf: bool
     bmf: bool
     fmf: bool
-    witnesses: dict[str, object]
 
 
 def factorial_battery(H) -> FactorialFlags:
     flags = classify_arithmetic(H)
     nonunits = [x for x in H.elements() if not H.is_unit(x)]
-    witnesses: dict[str, object] = {}
-
-    weak_atom = next((a for a in H.atoms if not is_powerful(H, a)[0]), None)
-    route_a = flags.atomic and weak_atom is None
-    if weak_atom is not None:
-        witnesses["non_powerful_atom"] = weak_atom
-
+    route_a = flags.atomic and all(is_powerful(H, a)[0] for a in H.atoms)
     # A non-unit x of a finite monoid has a non-unit idempotent power e, and a
     # factorization of e of length l >= 1 gives e = e^j one of length j*l for
     # every j; so a finite monoid is factorial iff it is a group.
@@ -425,20 +423,12 @@ def factorial_battery(H) -> FactorialFlags:
             raise CrossCheckMismatch(
                 f"atomic carrier but element {missing} has no minimal class"
             )
-    mf_wit = next((x for x in nonunits if len(cat.classes_of(x)) != 1), None)
-    hmf_wit = next((x for x in nonunits if len(cat.minimal_lengths(x)) != 1), None)
-    if mf_wit is not None:
-        witnesses["minimally_factorial"] = mf_wit
-    if hmf_wit is not None:
-        witnesses["hmf"] = hmf_wit
-
     return FactorialFlags(
         factorial=route_a,
-        minimally_factorial=mf_wit is None,
-        hmf=hmf_wit is None,
+        minimally_factorial=all(len(cat.classes_of(x)) == 1 for x in nonunits),
+        hmf=all(len(cat.minimal_lengths(x)) == 1 for x in nonunits),
         bmf=flags.atomic,
         fmf=flags.atomic,
-        witnesses=witnesses,
     )
 
 
@@ -448,9 +438,9 @@ def factorial_battery(H) -> FactorialFlags:
 class AtomAnalysis:
     """The atom Cayley digraph s -> s*a of a finite monoid, kept as
     H.analysis, with each part computed on first use.  Cross-check sides
-    share only the successor table: BF reads the length sets, FF the strong
-    components, the powerful-atom route of factoriality the potentials (its
-    other route reads only the unit group)."""
+    share only the successor table: BF reads the length sets, FF one search
+    for a back edge, the powerful-atom route of factoriality the potentials
+    (its other route reads only the unit group)."""
 
     def __init__(self, H):
         self.H = H
@@ -503,43 +493,31 @@ class AtomAnalysis:
             lsets[x] = LengthSet.build(finite, first, p, residues)
         return lsets
 
-    def pumpable_vertex(self) -> int | None:
-        """The smallest vertex reachable from the identity that lies on a
-        directed cycle, or None; pumping that cycle yields ever-longer
-        factorizations, hence ever more congruence classes.
+    def reaches_cycle(self) -> bool:
+        """Whether a directed cycle, a loop included, is reachable from the
+        identity; pumping it yields ever-longer factorizations, hence ever
+        more congruence classes.
 
-        A vertex lies on a cycle iff it has a loop or shares its strongly
-        connected component; the components come from one iterative pass of
-        Tarjan's algorithm (SIAM J. Comput. 1972), in O(|H| * |A|)."""
+        One iterative depth-first search marks the vertices on its current
+        path and stops at the first edge back to one of them, in
+        O(|H| * |A|)."""
         succ = self.succ
         root = self.H.identity
-        index = {root: 0}
-        low = {root: 0}  # kept while the vertex is on Tarjan's stack
-        stack, on_cycle = [root], []
+        state = [0] * len(succ)  # 1 while on the current path, 2 once left
+        state[root] = 1
         work = [(root, iter(succ[root]))]
         while work:
             v, rest = work[-1]
             w = next(rest, None)
             if w is None:
+                state[v] = 2
                 work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    scc = [stack.pop()]
-                    while scc[-1] != v:
-                        scc.append(stack.pop())
-                    for w in scc:
-                        del low[w]
-                    if len(scc) > 1 or v in succ[v]:
-                        on_cycle += scc
-            elif w not in index:
-                index[w] = low[w] = len(index)
-                stack.append(w)
+            elif state[w] == 1:
+                return True
+            elif not state[w]:
+                state[w] = 1
                 work.append((w, iter(succ[w])))
-            elif w in low:
-                low[v] = min(low[v], index[w])
-        return min(on_cycle, default=None)
+        return False
 
     @cached_property
     def flags(self) -> ArithmeticFlags:
@@ -547,41 +525,20 @@ class AtomAnalysis:
 
         A non-unit is a product of atoms iff its length set is not empty.  BF
         is decided from the exact length sets; FF independently from the
-        absence of a pumpable cycle in the atom Cayley digraph.  The two must
-        agree on finite carriers, which the test suite asserts.
+        successor table, as the absence of a cycle reachable from the
+        identity.  The two must agree on finite carriers, which the test
+        suite asserts.
         """
         H = self.H
         lsets = self.length_sets
-        witnesses: dict[str, object] = {}
-        nonunits = [x for x in H.elements() if not H.is_unit(x)]
-        atomic_wit = next((x for x in nonunits if lsets[x].is_empty()), None)
-        atomic = atomic_wit is None
-        if not atomic:
-            witnesses["atomic"] = atomic_wit
-
-        bf_wit = next((x for x in H.elements() if not lsets[x].is_finite), None)
-        bf = atomic and bf_wit is None
-        if bf_wit is not None:
-            witnesses["bf"] = bf_wit
-
-        ff_wit = self.pumpable_vertex()
-        ff = atomic and ff_wit is None
-        if ff_wit is not None:
-            witnesses["ff"] = ff_wit
-
-        hf_wit = next(
-            (
-                x
-                for x in nonunits
-                if not (lsets[x].is_finite and len(lsets[x].finite_part) == 1)
-            ),
-            None,
+        nonunit_sets = [lsets[x] for x in H.elements() if not H.is_unit(x)]
+        atomic = not any(ls.is_empty() for ls in nonunit_sets)
+        return ArithmeticFlags(
+            atomic=atomic,
+            bf=atomic and all(ls.is_finite for ls in lsets.values()),
+            ff=atomic and not self.reaches_cycle(),
+            hf=atomic and all(ls.is_finite and len(ls.finite_part) == 1 for ls in nonunit_sets),
         )
-        hf = atomic and hf_wit is None
-        if hf_wit is not None:
-            witnesses["hf"] = hf_wit
-
-        return ArithmeticFlags(atomic=atomic, bf=bf, ff=ff, hf=hf, witnesses=witnesses)
 
     @cached_property
     def powerful_conflicts(self) -> tuple[tuple | None, ...]:

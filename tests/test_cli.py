@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,15 @@ def test_analyze_instance_flags(capsys):
     body = json.loads(out)["report"]
     assert body["properties"]["group"] is True
     assert body["kappa"] == 0
+
+
+def test_analyze_prints_every_field_of_the_flag_records(capsys):
+    # the records hold exactly what the classifiers and factoriality blocks show
+    code, out, _ = run_cli(capsys, "analyze", "--null", "1")
+    assert code == 0
+    body = json.loads(out)["report"]
+    assert set(body["classifiers"]) == {f.name for f in fields(factorization.ArithmeticFlags)}
+    assert set(body["factoriality"]) == {f.name for f in fields(factorization.FactorialFlags)}
 
 
 def test_factorize(capsys):

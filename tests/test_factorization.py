@@ -183,7 +183,7 @@ def test_length_set_canonical_form_preserves_membership(fin, threshold, period, 
 def test_classify_n3(n3):
     flags = fb.classify_arithmetic(n3)
     assert (flags.atomic, flags.bf, flags.ff, flags.hf) == (True, False, False, False)
-    assert flags.witnesses["bf"] == 2  # the absorbing element pumps
+    assert not fb.length_set(n3, 2).is_finite  # the absorbing element pumps
 
 
 def test_classify_groups_are_vacuously_everything():
@@ -195,7 +195,7 @@ def test_classify_power_c2_not_atomic():
     P = fb.build_reduced_power_monoid(fb.cyclic(2))
     flags = fb.classify_arithmetic(P)
     assert not flags.atomic
-    assert flags.witnesses["atomic"] == 1  # the doubleton idempotent
+    assert fb.length_set(P, 1).is_empty()  # the doubleton idempotent
 
 
 def test_bf_iff_ff_on_corpus(sample_corpus):
@@ -428,6 +428,26 @@ def test_integer_primes_have_no_prime_candidates():
 def test_is_prime_refuses_a_non_element(carrier, p):
     with pytest.raises(ValueError, match="is not an element"):
         fb.is_prime(carrier, p)
+
+
+def _words_up_to_3(S, x):
+    return fb.enumerate_factorizations(S, x, 3)
+
+
+@pytest.mark.parametrize(
+    "query, carrier, x",
+    [
+        (_words_up_to_3, IntegerFragment(10), 50),
+        (_words_up_to_3, IntegerFragment(10**4), 0),
+        (_words_up_to_3, fb.null_monoid(1), -1),
+        (_words_up_to_3, fb.null_monoid(1), 7),
+        (fb.length_set, fb.null_monoid(1), 7),
+    ],
+    ids=["words-above-limit", "words-zero", "words-negative", "words-outside-table", "lengths-outside-table"],
+)
+def test_factorization_queries_refuse_a_non_element(query, carrier, x):
+    with pytest.raises(ValueError, match="is not an element"):
+        query(carrier, x)
 
 
 # -- powerful atoms ------------------------------------------------------------------
