@@ -18,6 +18,7 @@ word.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
@@ -435,6 +436,32 @@ def factorial_battery(H) -> FactorialFlags:
 # -- the atom Cayley digraph ------------------------------------------------------
 
 
+def _dominated_via_submasks(kg: int, s: int, buckets: dict[int, list[int]], guards: int) -> bool:
+    """Whether a packed vector in buckets (keyed by support mask) lies below
+    the candidate kg (its vector with every guard bit set) of support s, by a
+    lookup of each sub-mask of s.  The walk stops before the empty mask: no
+    product of non-units of a finite monoid is the identity, the one element
+    with a vector of empty support."""
+    m = s
+    while m:
+        for o in buckets.get(m, ()):
+            if (kg - o) & guards == guards:
+                return True
+        m = (m - 1) & s
+    return False
+
+
+def _dominated_via_buckets(kg: int, s: int, buckets: dict[int, list[int]], guards: int) -> bool:
+    """The same answer as _dominated_via_submasks, by a scan of every bucket
+    whose mask lies within s."""
+    for mask, olds in buckets.items():
+        if mask & s == mask:
+            for o in olds:
+                if (kg - o) & guards == guards:
+                    return True
+    return False
+
+
 class AtomAnalysis:
     """The atom Cayley digraph s -> s*a of a finite monoid, kept as
     H.analysis, with each part computed on first use.  Cross-check sides
@@ -594,21 +621,26 @@ class AtomAnalysis:
           state: that word extends the first word of its prefix's state, and
           layers are made, hence kept, in the order of their first words.
 
-        Each vector is packed into one int with a field of w = |H|.bit_length()
-        + 1 bits per atom class, class c at bit c*w, so stepping by an atom of
-        class c adds 1 << c*w.  A minimal word has at most |H| - 1 letters, so
-        a candidate one letter longer counts at most |H| < 2**(w - 1) per class
-        and the top bit of each field is free as a guard bit (G holds all of
-        them): o <= k iff ((k | G) - o) & G == G, since no field borrows from
-        the next and each keeps its guard bit iff it does not go below o's.
-        o <= k also needs supp(o) within supp(k) (bit c set iff class c
-        occurs), so each element keeps its earlier vectors in buckets keyed by
-        support mask and a query scans only the buckets under supp(k).  The
-        vectors are unpacked to tuples once, at the end.
+        Each vector is packed into one int with a field of w bits per atom
+        class, class c at bit c*w, so stepping by an atom of class c adds
+        1 << c*w; w is |H|.bit_length() + 1 rounded up to 8, 16, 32 or 64.  A
+        minimal word has at most |H| - 1 letters, so a candidate one letter
+        longer counts at most |H| < 2**(w - 1) per class and the top bit of
+        each field is free as a guard bit (G holds all of them): o <= k iff
+        ((k | G) - o) & G == G, since no field borrows from the next and each
+        keeps its guard bit iff it does not go below o's.  o <= k also needs
+        supp(o) within supp(k) (bit c set iff class c occurs), so each element
+        keeps its earlier vectors in buckets keyed by support mask.  A query
+        for support s looks up the 2**|s| sub-masks of s when they are fewer
+        than the buckets, and otherwise scans the buckets for masks within s.
+        The vectors are unpacked once, at the end, each by one to_bytes read
+        as an array of w-bit fields in native byte order.
         """
         H = self.H
         classes = range(len(H.atom_classes))
-        w = H.size.bit_length() + 1
+        w = 8
+        while w <= H.size.bit_length():
+            w *= 2
         guards = sum(1 << (c * w + w - 1) for c in classes)
         steps = [(a, 1 << H.atom_class_of[a] * w, 1 << H.atom_class_of[a]) for a in H.atoms]
         kept: list[dict[int, tuple]] = [{} for _ in H.elements()]
@@ -629,22 +661,32 @@ class AtomAnalysis:
                     if k in reps:
                         continue
                     s = supp | bit
-                    kg = k | guards
-                    if any(
-                        (kg - o) & guards == guards
-                        for mask, olds in earlier[y].items()
-                        if mask & s == mask
-                        for o in olds
-                    ):
+                    buckets = earlier[y]
+                    if 1 << s.bit_count() < len(buckets):
+                        dominated = _dominated_via_submasks
+                    else:
+                        dominated = _dominated_via_buckets
+                    if dominated(k | guards, s, buckets, guards):
                         continue
                     reps[k] = word + (a,)
                     made.append((y, k, s))
             layer = made
 
-        field = (1 << w) - 1
+        size = len(classes) * w // 8
+        if w == 8:
+            unpack = lambda k: tuple(k.to_bytes(size, "little"))
+        else:
+            # native-order fields; on a big-endian host the last class comes first
+            code = {16: "H", 32: "I", 64: "Q"}[w]
+            order = 1 if sys.byteorder == "little" else -1
+            unpack = lambda k: tuple(
+                memoryview(k.to_bytes(size, sys.byteorder)).cast(code)[::order]
+            )
+        del earlier  # the packed vectors go as they are unpacked
         per_element = {}
         for x, reps in enumerate(kept):
-            vectors = {tuple(k >> c * w & field for c in classes): rep for k, rep in reps.items()}
+            vectors = {unpack(k): rep for k, rep in reps.items()}
+            reps.clear()
             per_element[x] = tuple(
                 MinimalClassEntry(k, vectors[k]) for k in sorted(vectors, key=lambda k: (sum(k), k))
             )

@@ -470,6 +470,59 @@ def tuple_layered_catalog(table, atoms, atom_class_of):
     return catalog, kappa
 
 
+def packed_bucket_catalog(table, atoms, atom_class_of, routes=None):
+    """The layered search of tuple_layered_catalog with each vector packed
+    into one int, a field of len(table).bit_length() + 1 bits per class whose
+    top bit is a guard bit, so o <= k iff ((k | G) - o) & G == G.  Each
+    element keeps its earlier vectors in buckets keyed by support mask, and a
+    query scans every bucket and skips the masks not within the candidate's
+    support.  Vectors are unpacked by one shift and mask per class.  When a
+    Counter is given as routes, each query adds 1 to "submasks" if two to the
+    candidate's support size is below its element's bucket count, and to
+    "buckets" otherwise.  Same return value as tuple_layered_catalog."""
+    classes = range(len(set(atom_class_of.values())))
+    w = len(table).bit_length() + 1
+    guards = sum(1 << (c * w + w - 1) for c in classes)
+    kept = [{} for _ in table]
+    earlier = [{} for _ in table]
+    kept[0][0] = ()
+    layer = [(0, 0, 0)]
+    while layer:
+        for x, counts, supp in layer:
+            earlier[x].setdefault(supp, []).append(counts)
+        made = []
+        for x, counts, supp in layer:
+            for a in atoms:
+                y, c = table[x][a], atom_class_of[a]
+                if y == x:
+                    continue
+                k = counts + (1 << c * w)
+                reps = kept[y]
+                if k in reps:
+                    continue
+                s = supp | 1 << c
+                if routes is not None:
+                    routes["submasks" if 1 << s.bit_count() < len(earlier[y]) else "buckets"] += 1
+                kg = k | guards
+                if any(
+                    (kg - o) & guards == guards
+                    for mask, olds in earlier[y].items()
+                    if mask & s == mask
+                    for o in olds
+                ):
+                    continue
+                reps[k] = kept[x][counts] + (a,)
+                made.append((y, k, s))
+        layer = made
+    field = (1 << w) - 1
+    catalog = {}
+    for x, reps in enumerate(kept):
+        vectors = {tuple(k >> c * w & field for c in classes): rep for k, rep in reps.items()}
+        catalog[x] = [(k, vectors[k]) for k in sorted(vectors, key=lambda k: (sum(k), k))]
+    kappa = max(sum(k) for reps in catalog.values() for k, _ in reps)
+    return catalog, kappa
+
+
 def setwise_power_table(table, names):
     """The reduced power monoid of the monoid with this table (identity 0):
     the identity-containing subsets, as characteristic masks in increasing

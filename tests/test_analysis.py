@@ -2,13 +2,22 @@
 simple-path searches it replaced (kept in oracles.py), and a request
 computes each of its quantities once."""
 
+from collections import Counter
+
 import factorbench as fb
+from factorbench import factorization
 from factorbench.cli import main
 from factorbench.core import FiniteMonoid
 from factorbench.corpus import corpus_members, scan_member
 from factorbench.factorization import AtomAnalysis, LengthSet
 from factorbench.power import atomicity_criterion, build_reduced_power_monoid, kappa_report
-from oracles import path_catalog, potential_labeling, pumpable_vertex, tuple_layered_catalog
+from oracles import (
+    packed_bucket_catalog,
+    path_catalog,
+    potential_labeling,
+    pumpable_vertex,
+    tuple_layered_catalog,
+)
 from test_random_monoids import INSTANCES
 
 
@@ -65,6 +74,67 @@ def test_packed_catalog_matches_tuple_scan(sample_corpus):
         assert _catalog_pairs(H) == expected, name
 
 
+def transformation_monoid(gens, points):
+    """The maps on range(points) generated by gens, composed as (f*g)(p) =
+    f(g(p)), in breadth-first order from the identity."""
+    maps = [tuple(range(points))]
+    index = {maps[0]: 0}
+    for f in maps:
+        for g in gens:
+            h = tuple(f[p] for p in g)
+            if h not in index:
+                index[h] = len(maps)
+                maps.append(h)
+    return FiniteMonoid([[index[tuple(f[p] for p in g)] for g in maps] for f in maps])
+
+
+def test_catalog_matches_packed_bucket_walk():
+    # the power monoids up to P(C8), null monoids, and the bases of the
+    # catalog benchmark other than C5, C6 and N3
+    n1, c2, h2 = fb.null_monoid(1), fb.cyclic(2), fb.two_element_with_zero()
+    chain7 = FiniteMonoid([[max(i, j) for j in range(7)] for i in range(7)])
+    monoids = corpus_members(3)
+    monoids += [("P(N3)", build_reduced_power_monoid(n1))]
+    monoids += [(f"P(C{m})", build_reduced_power_monoid(fb.cyclic(m))) for m in range(4, 9)]
+    monoids += [("P(C2xC2)", build_reduced_power_monoid(fb.direct_product(c2, c2)))]
+    monoids += [(f"null({k})", fb.null_monoid(k)) for k in (5, 22, 60)]
+    monoids += [
+        ("P(N1xH2)", build_reduced_power_monoid(fb.direct_product(n1, h2))),
+        ("P(N1xC2)", build_reduced_power_monoid(fb.direct_product(n1, c2))),
+        ("P(H2xC3)", build_reduced_power_monoid(fb.direct_product(h2, fb.cyclic(3)))),
+        ("P(L7)", build_reduced_power_monoid(chain7)),
+        ("P(T7)", build_reduced_power_monoid(transformation_monoid([(2, 0, 2), (2, 0, 0)], 3))),
+    ]
+    routes = Counter()
+    for name, H in monoids:
+        expected = packed_bucket_catalog(H.table, H.atoms, H.atom_class_of, routes)
+        assert _catalog_pairs(H) == expected, name
+    assert routes["submasks"] and routes["buckets"], routes
+
+
+def test_catalog_walks_submasks_when_fewer_than_buckets(monkeypatch):
+    # Both walks answer every query alike, so only the calls show the choice.
+    calls = Counter()
+    for route in ("submasks", "buckets"):
+        walk = getattr(factorization, f"_dominated_via_{route}")
+
+        def counted(*args, walk=walk, route=route):
+            calls[route] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(factorization, f"_dominated_via_{route}", counted)
+    for name, H, expected in (
+        ("P(C6)", build_reduced_power_monoid(fb.cyclic(6)), Counter(submasks=717, buckets=125)),
+        ("P(C7)", build_reduced_power_monoid(fb.cyclic(7)), Counter(submasks=4594, buckets=269)),
+        ("null(22)", fb.null_monoid(22), Counter(buckets=275)),
+    ):
+        routes = Counter()
+        packed_bucket_catalog(H.table, H.atoms, H.atom_class_of, routes)
+        calls.clear()
+        AtomAnalysis.__dict__["catalog"].func(H.analysis)
+        assert routes == calls == expected, name
+
+
 def monogenic(size, index):
     """{1, a, ..., a^(size-1)} with a^size = a^index, element i being a^i."""
 
@@ -79,7 +149,9 @@ def test_catalog_field_width_on_monogenic_monoids():
     # monoid is nilpotent, {1, a, ..., a^(size-2), 0}; with index 2 the step
     # a^(size-1) * a = a^2 makes a candidate counting |H|, which the guard
     # bit must still compare correctly against (2,).
-    for size in range(3, 42):
+    # From 128 elements on the fields are 16 bits wide, not 8; the unpadded
+    # width of |H|.bit_length() + 1 bits grows at 128 and at 256.
+    for size in [*range(3, 42), 127, 128, 255, 256, 257]:
         for index in {2, size - 1}:
             H = monogenic(size, index)
             assert H.atoms == (1,), (size, index)

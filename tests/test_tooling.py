@@ -37,7 +37,7 @@ def test_oracles_import_no_factorbench_module():
 
 @pytest.mark.parametrize(
     "script, args",
-    [("run_corpus.py", ["--max-order", "2"]), ("kappa_survey.py", ["--max-cyclic", "8"])],
+    [("run_corpus.py", ["--max-order", "2"]), ("kappa_survey.py", ["--max-cyclic", "9"])],
 )
 def test_script_exits_zero(script, args):
     proc = _run_script(script, *args)
