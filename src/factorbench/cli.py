@@ -84,15 +84,23 @@ def _load_monoid(ns) -> tuple[FiniteMonoid, str]:
     raise FactorbenchError("no monoid given: use --in or an instance flag")
 
 
+def _class_counts(H: FiniteMonoid, word: tuple) -> list[int]:
+    """The letters of an atom word counted per atom class."""
+    counts = [0] * len(H.atom_classes)
+    for a in word:
+        counts[H.atom_class_of[a]] += 1
+    return counts
+
+
 def _element_payload(H: FiniteMonoid, x: int) -> dict:
     return {
         "lengths": length_set(H, x).describe(),
         "minimal_classes": [
             {
-                "counts": list(e.counts),
-                "representative": format_word_text(H.names[a] for a in e.representative),
+                "counts": _class_counts(H, word),
+                "representative": format_word_text(H.names[a] for a in word),
             }
-            for e in minimal_catalog(H).classes_of(x)
+            for word in minimal_catalog(H).classes_of(x)
         ],
     }
 

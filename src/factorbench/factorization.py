@@ -18,7 +18,6 @@ word.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
@@ -249,25 +248,19 @@ def classify_arithmetic(H) -> ArithmeticFlags:
 
 
 @dataclass(frozen=True)
-class MinimalClassEntry:
-    counts: tuple[int, ...]
-    representative: tuple
-
-
-@dataclass(frozen=True)
 class MinimalCatalog:
-    """All minimal factorization classes of every element, with one
-    representative word per class; kappa is the largest representative
-    length."""
+    """All minimal factorization classes of every element, each kept as its
+    representative word, whose letters counted per atom class give the
+    class-count vector; kappa is the largest representative length."""
 
-    per_element: dict[int, tuple[MinimalClassEntry, ...]]
+    per_element: dict[int, tuple[tuple, ...]]
     kappa: int
 
-    def classes_of(self, x) -> tuple[MinimalClassEntry, ...]:
+    def classes_of(self, x) -> tuple[tuple, ...]:
         return self.per_element.get(x, ())
 
     def minimal_lengths(self, x) -> tuple[int, ...]:
-        return tuple(sorted({sum(e.counts) for e in self.classes_of(x)}))
+        return tuple(sorted({len(word) for word in self.classes_of(x)}))
 
 
 def minimal_catalog(H) -> MinimalCatalog:
@@ -279,9 +272,7 @@ def kappa_and_dichotomy(H) -> tuple[int, tuple[int, ...]]:
     """kappa plus the union of minimal length sets, asserting the union is the
     full interval 0..kappa."""
     cat = minimal_catalog(H)
-    lengths = sorted(
-        {sum(e.counts) for entries in cat.per_element.values() for e in entries}
-    )
+    lengths = sorted({len(word) for words in cat.per_element.values() for word in words})
     if lengths != list(range(cat.kappa + 1)):
         raise CrossCheckMismatch(
             f"minimal lengths {lengths} do not fill 0..{cat.kappa}"
@@ -621,28 +612,31 @@ class AtomAnalysis:
           state: that word extends the first word of its prefix's state, and
           layers are made, hence kept, in the order of their first words.
 
-        Each vector is packed into one int with a field of w bits per atom
-        class, class c at bit c*w, so stepping by an atom of class c adds
-        1 << c*w; w is |H|.bit_length() + 1 rounded up to 8, 16, 32 or 64.  A
-        minimal word has at most |H| - 1 letters, so a candidate one letter
-        longer counts at most |H| < 2**(w - 1) per class and the top bit of
-        each field is free as a guard bit (G holds all of them): o <= k iff
-        ((k | G) - o) & G == G, since no field borrows from the next and each
-        keeps its guard bit iff it does not go below o's.  o <= k also needs
-        supp(o) within supp(k) (bit c set iff class c occurs), so each element
-        keeps its earlier vectors in buckets keyed by support mask.  A query
-        for support s looks up the 2**|s| sub-masks of s when they are fewer
-        than the buckets, and otherwise scans the buckets for masks within s.
-        The vectors are unpacked once, at the end, each by one to_bytes read
-        as an array of w-bit fields in native byte order.
+        Each vector is packed into one int with a field of w = |H|.bit_length()
+        + 1 bits per atom class, class c at bit (top - c)*w, where top is the
+        number of classes less one, so stepping by an atom of class c adds
+        1 << (top - c)*w.  A minimal word has at most |H| - 1 letters, so a
+        candidate one letter longer counts at most |H| < 2**(w - 1) per class
+        and the top bit of each field is free as a guard bit (G holds all of
+        them): o <= k iff ((k | G) - o) & G == G, since no field borrows from
+        the next and each keeps its guard bit iff it does not go below o's.
+        o <= k also needs supp(o) within supp(k) (bit c set iff class c
+        occurs), so each element keeps its earlier vectors in buckets keyed by
+        support mask.  A query for support s looks up the 2**|s| sub-masks of
+        s when they are fewer than the buckets, and otherwise scans the
+        buckets for masks within s.
+        With class 0 in the top field and no guard bit set, kept vectors
+        compare as ints as they do lexicographically, and a vector's total is
+        its word's length, so each element's words are listed by (length,
+        packed vector), the order (sum(k), k) of their vectors.  Only the
+        words are kept: a class-count vector is its word's letters counted per
+        atom class.
         """
         H = self.H
-        classes = range(len(H.atom_classes))
-        w = 8
-        while w <= H.size.bit_length():
-            w *= 2
-        guards = sum(1 << (c * w + w - 1) for c in classes)
-        steps = [(a, 1 << H.atom_class_of[a] * w, 1 << H.atom_class_of[a]) for a in H.atoms]
+        top = len(H.atom_classes) - 1
+        w = H.size.bit_length() + 1
+        guards = sum(1 << (c * w + w - 1) for c in range(top + 1))
+        steps = [(a, 1 << (top - H.atom_class_of[a]) * w, 1 << H.atom_class_of[a]) for a in H.atoms]
         kept: list[dict[int, tuple]] = [{} for _ in H.elements()]
         earlier: list[dict[int, list[int]]] = [{} for _ in H.elements()]
         kept[H.identity][0] = ()
@@ -672,23 +666,10 @@ class AtomAnalysis:
                     made.append((y, k, s))
             layer = made
 
-        size = len(classes) * w // 8
-        if w == 8:
-            unpack = lambda k: tuple(k.to_bytes(size, "little"))
-        else:
-            # native-order fields; on a big-endian host the last class comes first
-            code = {16: "H", 32: "I", 64: "Q"}[w]
-            order = 1 if sys.byteorder == "little" else -1
-            unpack = lambda k: tuple(
-                memoryview(k.to_bytes(size, sys.byteorder)).cast(code)[::order]
-            )
-        del earlier  # the packed vectors go as they are unpacked
+        del earlier  # the buckets go before the lists are built
         per_element = {}
         for x, reps in enumerate(kept):
-            vectors = {unpack(k): rep for k, rep in reps.items()}
+            per_element[x] = tuple(reps[k] for k in sorted(reps, key=lambda k: (len(reps[k]), k)))
             reps.clear()
-            per_element[x] = tuple(
-                MinimalClassEntry(k, vectors[k]) for k in sorted(vectors, key=lambda k: (sum(k), k))
-            )
-        kappa = max(len(e.representative) for entries in per_element.values() for e in entries)
+        kappa = max(len(word) for words in per_element.values() for word in words)
         return MinimalCatalog(per_element, kappa)

@@ -29,7 +29,13 @@ from factorbench.presentations import (
     ladder_presentation,
     verify_ladder_properties,
 )
-from oracles import class_space_catalog, smallest_prime_factorization, tuple_chain_valid, word_catalog
+from oracles import (
+    class_count_vector,
+    class_space_catalog,
+    smallest_prime_factorization,
+    tuple_chain_valid,
+    word_catalog,
+)
 
 
 def _line(num, name, ok, detail=""):
@@ -89,11 +95,13 @@ def test_criterion_04_catalog_oracle_equivalence(members):
         if H.size > 16:
             continue
         cat = minimal_catalog(H)
+        width = len(H.atom_classes)
         for expected, expected_kappa in filter(
             None, (word_catalog(H, max_words=50_000), class_space_catalog(H))
         ):
             for x in H.elements():
-                assert {e.counts for e in cat.classes_of(x)} == expected[x], (
+                got = {class_count_vector(H.atom_class_of, width, w) for w in cat.classes_of(x)}
+                assert got == expected[x], (
                     name,
                     x,
                 )

@@ -12,6 +12,7 @@ from factorbench.corpus import corpus_members, scan_member
 from factorbench.factorization import AtomAnalysis, LengthSet
 from factorbench.power import atomicity_criterion, build_reduced_power_monoid, kappa_report
 from oracles import (
+    class_count_vector,
     packed_bucket_catalog,
     path_catalog,
     potential_labeling,
@@ -44,18 +45,20 @@ def test_catalog_matches_path_oracle(sample_corpus):
         ("null(5)", fb.null_monoid(5)),
     ]
     for name, H in monoids:
-        cat = fb.minimal_catalog(H)
-        got = {
-            x: [(e.counts, e.representative) for e in cat.classes_of(x)]
-            for x in H.elements()
-            if cat.classes_of(x)
-        }
-        assert (got, cat.kappa) == path_catalog(H), name
+        got, kappa = _catalog_pairs(H)
+        got = {x: pairs for x, pairs in got.items() if pairs}
+        assert (got, kappa) == path_catalog(H), name
 
 
 def _catalog_pairs(H):
+    """The catalog as (class-count vector, representative) pairs, the vectors
+    counted by the oracle from each representative."""
     cat = fb.minimal_catalog(H)
-    got = {x: [(e.counts, e.representative) for e in cat.classes_of(x)] for x in H.elements()}
+    width = len(H.atom_classes)
+    got = {
+        x: [(class_count_vector(H.atom_class_of, width, w), w) for w in cat.classes_of(x)]
+        for x in H.elements()
+    }
     return got, cat.kappa
 
 
@@ -149,9 +152,9 @@ def test_catalog_field_width_on_monogenic_monoids():
     # monoid is nilpotent, {1, a, ..., a^(size-2), 0}; with index 2 the step
     # a^(size-1) * a = a^2 makes a candidate counting |H|, which the guard
     # bit must still compare correctly against (2,).
-    # From 128 elements on the fields are 16 bits wide, not 8; the unpadded
-    # width of |H|.bit_length() + 1 bits grows at 128 and at 256.
-    for size in [*range(3, 42), 127, 128, 255, 256, 257]:
+    # The field width |H|.bit_length() + 1 grows at every power of two, here
+    # at 4, 8, 16, 32, 64, 128 and 256 elements.
+    for size in [*range(3, 42), 63, 64, 65, 127, 128, 255, 256, 257]:
         for index in {2, size - 1}:
             H = monogenic(size, index)
             assert H.atoms == (1,), (size, index)

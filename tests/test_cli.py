@@ -17,6 +17,8 @@ import factorbench as fb
 from factorbench import cli, factorization
 from factorbench.cli import main
 from factorbench.factorization import integer_class_table
+from factorbench.presentations import EMPTY_LITERAL
+from oracles import class_count_vector
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +39,26 @@ def test_analyze_from_file(tmp_path, capsys, n3):
     assert body["atoms"] == ["a"]
     assert report["version"] == fb.__version__
     assert len(report["input_digest"]) == 64
+
+
+def test_report_counts_are_the_counts_of_their_representatives(tmp_path, capsys):
+    # Two reports with several atom classes that the golden digests do not cover.
+    path = tmp_path / "pc6.json"
+    fb.save_cayley(fb.build_reduced_power_monoid(fb.cyclic(6)), path)
+    for argv in (["--in", str(path)], ["--null", "22"]):
+        H = fb.load_cayley(path) if argv[0] == "--in" else fb.null_monoid(22)
+        code, out, _ = run_cli(capsys, "analyze", *argv)
+        assert code == 0
+        checked = 0
+        for entry in json.loads(out)["report"]["elements"]:
+            for cls in entry["minimal_classes"]:
+                text = cls["representative"]
+                word = () if text == EMPTY_LITERAL else tuple(map(H.names.index, text.split("*")))
+                expected = class_count_vector(H.atom_class_of, len(H.atom_classes), word)
+                assert tuple(cls["counts"]) == expected, (argv, entry["element"], text)
+                checked += 1
+        assert checked > H.size, argv
+        assert len(H.atom_classes) > 1, argv
 
 
 def test_analyze_reads_the_cayley_file_once(tmp_path, capsys, monkeypatch, n3):

@@ -11,7 +11,6 @@ from factorbench.factorization import (
     IntegerFragment,
     LengthSet,
     MinimalCatalog,
-    MinimalClassEntry,
     integer_class_table,
     pi_eval,
     primes_up_to,
@@ -261,7 +260,7 @@ def test_is_minimal_agrees_with_catalog(sample_corpus):
             continue
         cat = fb.minimal_catalog(H)
         for x in H.elements():
-            keys = {e.counts for e in cat.classes_of(x)}
+            keys = {class_vector(H, w) for w in cat.classes_of(x)}
             for w in fb.enumerate_factorizations(H, x, min(H.size - 1, 4)):
                 assert is_minimal_word(H, w) == (class_vector(H, w) in keys), name
 
@@ -271,15 +270,15 @@ def test_is_minimal_agrees_with_catalog(sample_corpus):
 
 def test_minimal_catalog_n3(n3):
     cat = fb.minimal_catalog(n3)
-    assert [(e.counts, e.representative) for e in cat.classes_of(1)] == [((1,), (1,))]
-    assert [(e.counts, e.representative) for e in cat.classes_of(2)] == [((2,), (1, 1))]
+    assert [(class_vector(n3, w), w) for w in cat.classes_of(1)] == [((1,), (1,))]
+    assert [(class_vector(n3, w), w) for w in cat.classes_of(2)] == [((2,), (1, 1))]
     assert cat.kappa == 2
 
 
 def test_minimal_catalog_power_c3(pow_c3):
     full = pow_c3.names.index("{1,g,g^2}")
     cat = fb.minimal_catalog(pow_c3)
-    assert {e.counts for e in cat.classes_of(full)} == {(2, 0), (1, 1), (0, 2)}
+    assert {class_vector(pow_c3, w) for w in cat.classes_of(full)} == {(2, 0), (1, 1), (0, 2)}
     assert cat.kappa == 2
 
 
@@ -287,7 +286,7 @@ def test_minimal_catalog_group_is_empty():
     cat = fb.minimal_catalog(fb.cyclic(5))
     assert cat.kappa == 0
     # the identity keeps its empty factorization; nothing else has any
-    assert [e.representative for e in cat.classes_of(0)] == [()]
+    assert list(cat.classes_of(0)) == [()]
     assert all(not cat.classes_of(x) for x in range(1, 5))
 
 
@@ -299,7 +298,7 @@ def test_catalog_against_naive_word_enumeration(sample_corpus):
         expected, expected_kappa = naive
         cat = fb.minimal_catalog(H)
         for x in H.elements():
-            assert {e.counts for e in cat.classes_of(x)} == expected[x], name
+            assert {class_vector(H, w) for w in cat.classes_of(x)} == expected[x], name
         assert cat.kappa == expected_kappa, name
 
 
@@ -308,7 +307,7 @@ def test_catalog_against_class_space_search(sample_corpus):
         expected, expected_kappa = class_space_catalog(H)
         cat = fb.minimal_catalog(H)
         for x in H.elements():
-            assert {e.counts for e in cat.classes_of(x)} == expected[x], name
+            assert {class_vector(H, w) for w in cat.classes_of(x)} == expected[x], name
         assert cat.kappa == expected_kappa, name
 
 
@@ -316,16 +315,16 @@ def test_catalog_representatives_are_members(sample_corpus):
     for name, H in sample_corpus:
         cat = fb.minimal_catalog(H)
         for x in H.elements():
-            for e in cat.classes_of(x):
-                assert pi_eval(H, e.representative) == x, name
-                assert class_vector(H, e.representative) == e.counts, name
-                assert is_minimal_word(H, e.representative), name
+            for rep in cat.classes_of(x):
+                assert pi_eval(H, rep) == x, name
+                assert is_minimal_word(H, rep), name
+                counts = class_vector(H, rep)
                 first = next(
                     w
-                    for w in fb.enumerate_factorizations(H, x, sum(e.counts))
-                    if class_vector(H, w) == e.counts
+                    for w in fb.enumerate_factorizations(H, x, len(rep))
+                    if class_vector(H, w) == counts
                 )
-                assert e.representative == first, name
+                assert rep == first, name
 
 
 def test_kappa_bound(sample_corpus):
@@ -580,9 +579,7 @@ def test_atomic_carrier_without_a_minimal_class_is_a_cross_check_mismatch():
 
 def test_minimal_lengths_with_a_gap_are_a_cross_check_mismatch():
     H = fb.null_monoid(1)
-    H.analysis.__dict__["catalog"] = MinimalCatalog(
-        {0: (MinimalClassEntry((0,), ()),), 2: (MinimalClassEntry((2,), (1, 1)),)}, 2
-    )
+    H.analysis.__dict__["catalog"] = MinimalCatalog({0: ((),), 2: ((1, 1),)}, 2)
     with pytest.raises(CrossCheckMismatch, match=r"^minimal lengths \[0, 2\] do not fill 0\.\.2$"):
         fb.kappa_and_dichotomy(H)
 

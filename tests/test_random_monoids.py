@@ -91,7 +91,9 @@ def test_classifiers_and_catalog(seed, H):
     assert union == tuple(range(kappa + 1))
     expected, expected_kappa = class_space_catalog(H)
     for x in H.elements():
-        assert {e.counts for e in cat.classes_of(x)} == expected[x]
+        assert {
+            class_count_vector(H.atom_class_of, len(H.atom_classes), w) for w in cat.classes_of(x)
+        } == expected[x]
     assert cat.kappa == expected_kappa
 
 
