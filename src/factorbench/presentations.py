@@ -289,15 +289,33 @@ class CongruenceResult:
     functional: tuple[int, ...] | None = None
 
 
-def _rewrites(s: str, rules):
-    """Every word one rule away from the encoded word s: rule by rule, then
-    position by position, overlapping occurrences included."""
-    for a, b in rules:
-        la = len(a)
-        i = s.find(a)
-        while i >= 0:
-            yield s[:i] + b + s[i + la :]
-            i = s.find(a, i + 1)
+def _grow(frontier, rules, seen, other=()):
+    """Expand the words of frontier in order, rule by rule, then position by
+    position, overlaps included.  Map each new word to its parent in seen and
+    return the new words in order found, up to the first one that other holds."""
+    fresh = []
+    for s in frontier:
+        for a, b in rules:
+            la = len(a)
+            i = s.find(a)
+            while i >= 0:
+                nxt = s[:i] + b + s[i + la :]
+                if nxt not in seen:
+                    seen[nxt] = s
+                    fresh.append(nxt)
+                    if nxt in other:
+                        return fresh
+                i = s.find(a, i + 1)
+    return fresh
+
+
+def _path(parents, w) -> list[str]:
+    """w and its parents back to the root of the search."""
+    path = []
+    while w is not None:
+        path.append(w)
+        w = parents[w]
+    return path
 
 
 def congruent_bounded(
@@ -307,6 +325,8 @@ def congruent_bounded(
     a definite NO from any conserved letter-count functional separating u and
     v; otherwise unknown once the expansion budget runs out.  On success the
     rewriting chain from u to v is returned."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     u, v = tuple(u), tuple(v)
     su, sv = P.encode(u), P.encode(v)
     cu, cv = letter_counts(P, u), letter_counts(P, v)
@@ -317,33 +337,19 @@ def congruent_bounded(
         return CongruenceResult(CongruenceStatus.EQUIVALENT, chain=(u,))
 
     parents: list[dict[str, str | None]] = [{su: None}, {sv: None}]
-    frontiers: list[list[str]] = [[su], [sv]]
-    expansions = 0
-
-    def walk(side, w):
-        path = []
-        while w is not None:
-            path.append(w)
-            w = parents[side][w]
-        return path
-
+    frontiers = [[su], [sv]]
+    room = budget
     while frontiers[0] and frontiers[1]:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        mine, other = parents[side], parents[1 - side]
-        fresh: list[str] = []
-        for w in frontiers[side]:
-            expansions += 1
-            if expansions > budget:
-                return CongruenceResult(CongruenceStatus.UNKNOWN)
-            for nxt in _rewrites(w, P.rules):
-                if nxt in mine:
-                    continue
-                mine[nxt] = w
-                if nxt in other:
-                    # nxt is in both parent maps: walk back to both roots
-                    path = walk(0, nxt)[::-1] + walk(1, parents[1][nxt])
-                    return CongruenceResult(CongruenceStatus.EQUIVALENT, tuple(map(P.decode, path)))
-                fresh.append(nxt)
+        layer, other = frontiers[side], parents[1 - side]
+        fresh = _grow(layer[:room], P.rules, parents[side], other)
+        if fresh and fresh[-1] in other:
+            # the last word is in both parent maps: walk back to both roots
+            path = _path(parents[0], fresh[-1])[::-1] + _path(parents[1], fresh[-1])[1:]
+            return CongruenceResult(CongruenceStatus.EQUIVALENT, tuple(map(P.decode, path)))
+        if len(layer) > room:
+            break
+        room -= len(layer)
         frontiers[side] = fresh
     return CongruenceResult(CongruenceStatus.UNKNOWN)
 
@@ -596,6 +602,8 @@ def bounded_length_set(
     lengths |nf| + 3k, and is a singleton otherwise.  Other presentations are
     explored by breadth-first rewriting under the budget.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     start = P.encode(target)
     if P.family == "ladder":
         nf = normal_form(P.decode(start))
@@ -605,27 +613,18 @@ def bounded_length_set(
 
     # a word longer than cap cannot rewrite back to max_len in one step
     cap = max_len + max((abs(len(l) - len(r)) for l, r in P.relations), default=0)
-    seen = {start}
+    seen = {start: None}
     frontier = [start]
     lengths = {len(start)} if len(start) <= max_len else set()
     complete = True
-    expansions = 0
-    while frontier and expansions <= budget:
-        fresh = []
-        for w in frontier:
-            expansions += 1
-            if expansions > budget:
-                complete = False
-                break
-            for nxt in _rewrites(w, P.rules):
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                if len(nxt) <= max_len:
-                    lengths.add(len(nxt))
-                if len(nxt) <= cap:
-                    fresh.append(nxt)
-                else:
-                    complete = False
-        frontier = fresh
+    room = budget
+    while frontier:
+        fresh = _grow(frontier[:room], P.rules, seen)
+        lengths.update(len(w) for w in fresh if len(w) <= max_len)
+        if len(frontier) > room:
+            complete = False
+            break
+        room -= len(frontier)
+        frontier = [w for w in fresh if len(w) <= cap]
+        complete &= len(frontier) == len(fresh)
     return LengthProbe(tuple(sorted(lengths)), complete, _generators_proven_atoms(P))

@@ -23,11 +23,11 @@ from factorbench.presentations import (
     sandwich_power,
     sandwich_xyx,
     verify_ladder_properties,
+    _grow,
     _random_congruent,
     _random_ladder_word,
     _random_order_normal_form,
     _randbelow,
-    _rewrites,
 )
 from oracles import (
     choice_congruent,
@@ -250,21 +250,33 @@ def _search_pairs(rng):
 
 
 def test_rewrites_keep_the_oracle_order():
+    # one word's successors come in the oracle's order, first occurrences
+    # only, without the word itself; with other set, up to the first in other
     rng = Random(9)
-    found = 0
+    found = stopped = 0
     for P in ORACLE_PRESENTATIONS:
         for _ in range(400):
             word = _seeded_word(rng, P, 4) if rng.random() < 0.5 else _random_word(rng, P, 0, 12)
-            expected = list(tuple_rewrites(word, P.relations))
-            assert [P.decode(r) for r in _rewrites(P.encode(word), P.rules)] == expected
+            expected = [r for r in dict.fromkeys(tuple_rewrites(word, P.relations)) if r != word]
+            w = P.encode(word)
+            seen = {w: None}
+            assert [P.decode(r) for r in _grow([w], P.rules, seen)] == expected
+            assert list(seen.items()) == [(w, None), *((P.encode(r), w) for r in expected)]
             found += len(expected)
-    assert found > 2400
+            if expected:
+                k = rng.randrange(len(expected))
+                # w is in other too, but only a new word can end the expansion
+                other = {w: None, **{P.encode(r): None for r in expected[k:]}}
+                fresh = _grow([w], P.rules, {w: None}, other)
+                assert [P.decode(r) for r in fresh] == expected[: k + 1]
+                stopped += k + 1 < len(expected)
+    assert found > 2400 and stopped > 200
 
 
 def test_search_spends_the_oracle_expansions():
     statuses = set()
     for P, u, v in _search_pairs(Random(11)):
-        for budget in range(1, 61):
+        for budget in range(0, 61):
             res = congruent_bounded(P, u, v, budget)
             status, chain = tuple_congruence_search(P.relations, u, v, budget)
             assert (res.status.value, res.chain) == (status, chain), (P, u, v, budget)
@@ -285,7 +297,7 @@ def test_length_probe_spends_the_oracle_expansions():
         for _ in range(4):
             target = _seeded_word(rng, P, 2)
             max_len = len(target) + rng.randint(2, 6)
-            for budget in range(1, 61):
+            for budget in range(0, 61):
                 probe = bounded_length_set(P, target, max_len, budget)
                 expected = tuple_length_probe(P.relations, target, max_len, budget)
                 assert (probe.lengths, probe.complete) == expected, (P, target, budget)
@@ -502,3 +514,15 @@ def test_one_relator_sandwich_atoms_not_proven():
 def test_budget_exhaustion_flags_partial_result():
     probe = bounded_length_set(sandwich_power(2), ("x", "x"), 40, budget=5)
     assert not probe.complete
+
+
+def test_searches_refuse_a_negative_budget():
+    # x*x = y*x*x*y has length 4, so a probe that expands nothing is incomplete
+    P = sandwich_power(2)
+    probe = bounded_length_set(P, ("x", "x"), 8, budget=0)
+    assert (probe.lengths, probe.complete) == ((2,), False)
+    for family in (P, ladder_presentation()):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            bounded_length_set(family, ("x", "x"), 8, budget=-1)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        congruent_bounded(P, ("x", "x"), ("y", "x", "x", "y"), budget=-1)

@@ -2,8 +2,9 @@
 scripts run end to end, every command line and the library tour in the
 README run, the README lists exactly the flags each command declares, the
 error types match what the benchmark reads and what the code raises,
-every public definition in src/ is used outside itself, and every public
-member of a class in src/ is read in src/ or scripts/."""
+every public definition and private function in src/ is used outside
+itself, and every public member of a class in src/ is read in src/ or
+scripts/."""
 
 import argparse
 import ast
@@ -131,26 +132,44 @@ def test_every_error_class_is_raised_in_src():
     assert _error_classes() <= raised, _error_classes() - raised
 
 
-def test_every_public_definition_is_named_outside_itself():
-    # a top-level function or class that no other part of src/ or scripts/
-    # names is surface that only tests reach: move it to the oracles
+def _definitions_and_names():
+    """The top-level functions and classes of src/ as (module, name,
+    is_function), and every name that src/ or scripts/ uses outside the
+    definition of that name."""
     sources = list((ROOT / "src" / "factorbench").glob("*.py"))
     sources += (ROOT / "scripts").glob("*.py")
-    public, named = set(), set()
+    defined, named = set(), set()
     for path in sources:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 own = stmt.name
                 if path.parent.name == "factorbench":
-                    public.add((path.stem, own))
+                    defined.add((path.stem, own, isinstance(stmt, ast.FunctionDef)))
             for node in ast.walk(stmt):
                 name = getattr(node, "id", None) or getattr(node, "attr", None)
                 if isinstance(node, ast.alias):
                     name = node.name
                 if name and name != own:
                     named.add(name)
+    return defined, named
+
+
+def test_every_public_definition_is_named_outside_itself():
+    # a top-level function or class that no other part of src/ or scripts/
+    # names is surface that only tests reach: move it to the oracles
+    defined, named = _definitions_and_names()
+    public = {(module, name) for module, name, _ in defined if not name.startswith("_")}
     assert not {f"{module}.{name}" for module, name in public if name not in named}
+
+
+def test_every_private_function_is_named_outside_itself():
+    # a private top-level function that nothing else in src/ or scripts/
+    # names is dead, or kept alive only by its test
+    defined, named = _definitions_and_names()
+    private = {(module, name) for module, name, func in defined if func and name.startswith("_")}
+    assert len(private) > 30
+    assert not {f"{module}.{name}" for module, name in private if name not in named}
 
 
 def test_every_public_member_is_read_in_src_or_scripts():
