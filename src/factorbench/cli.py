@@ -428,6 +428,9 @@ def main(argv=None) -> int:
     except (FactorbenchError, OSError, ValueError) as exc:
         print(f"factorbench: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("factorbench: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

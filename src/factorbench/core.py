@@ -157,6 +157,19 @@ def _check_row(x: int, row, n: int) -> None:
             raise IndexOutOfRange(f"entry ({x}, {y}) = {v!r} not in [0, {n})")
 
 
+def _two_sided_orbit(rows, x: int, side: tuple[int, ...]) -> frozenset[int]:
+    """{u*x*v : u, v in side}, for a tuple side that holds the identity 0.
+
+    The left orbit {u*x} is read down column x; each of its members then
+    contributes its row restricted to side, one C-speed itemgetter call each.
+    """
+    if len(side) == 1:  # only the identity; itemgetter(0) would give a scalar
+        return frozenset((x,))
+    at_side = itemgetter(*side)
+    left = {row[x] for row in at_side(rows)}
+    return frozenset().union(*(at_side(rows[y]) for y in left))
+
+
 class FiniteMonoid:
     """A finite monoid, validated at construction.
 
@@ -164,10 +177,9 @@ class FiniteMonoid:
     with Light's test on a greedy generating set: n * g whole rows made at
     C speed for g generators (g is 1 for a cyclic group and n - 2 for a null
     monoid, which no smaller set generates), O(n^2 * g) byte operations but
-    only O(n * g) steps of Python.  It eagerly computes the unit group and the
-    association from whole rows as well: association[x] is the index of x's
-    two-sided associate class u*x*v (u, v units), classes numbered by their
-    smallest member.
+    only O(n * g) steps of Python.  It eagerly computes the unit group; the
+    atoms, their associate classes and the divisibility table are built on
+    first use.
     Instances are immutable and all queries are pure, so they are safe to
     share between workers.
     """
@@ -206,7 +218,6 @@ class FiniteMonoid:
         self.table = rows
         self.names = names
         self.units = self._compute_units()
-        self.association = self._compute_association()
 
     # -- basic queries -------------------------------------------------
 
@@ -249,25 +260,6 @@ class FiniteMonoid:
             u for u, row in enumerate(t) if 0 in row and t[row.index(0)][u] == 0
         )
 
-    def _compute_association(self):
-        n = self.size
-        t = self.table
-        units = sorted(self.units)
-        if len(units) == 1:
-            return tuple(range(n))
-        at_units = itemgetter(*units)
-        class_of = [-1] * n
-        idx = 0
-        for x in range(n):
-            if class_of[x] >= 0:
-                continue
-            left = {t[u][x] for u in units}
-            orbit = set().union(*(at_units(t[y]) for y in left))
-            for y in orbit:
-                class_of[y] = idx
-            idx += 1
-        return tuple(class_of)
-
     @cached_property
     def atoms(self) -> tuple[int, ...]:
         """Non-units that are not a product of two non-units."""
@@ -284,19 +276,20 @@ class FiniteMonoid:
     def atom_classes(self) -> tuple[tuple[int, ...], ...]:
         """Associate classes of the atom alphabet, ordered by smallest member.
 
-        Sandwiching an atom between units yields an atom, so the association
-        restricts cleanly to the atoms.
+        Each class is the two-sided unit orbit {u*a*v : u, v units} of its
+        smallest atom a, taken in ascending order of the atoms not yet
+        classed.  Sandwiching an atom between units yields an atom, so each
+        orbit lies in the atoms, and its members sorted are in atom order.
         """
-        seen: dict[int, int] = {}
-        classes: list[list[int]] = []
+        units = tuple(sorted(self.units))
+        classes: list[tuple[int, ...]] = []
+        classed: set[int] = set()
         for a in self.atoms:
-            c = self.association[a]
-            if c in seen:
-                classes[seen[c]].append(a)
-            else:
-                seen[c] = len(classes)
-                classes.append([a])
-        return tuple(tuple(c) for c in classes)
+            if a not in classed:
+                orbit = _two_sided_orbit(self.table, a, units)
+                classed.update(orbit)
+                classes.append(tuple(sorted(orbit)))
+        return tuple(classes)
 
     @cached_property
     def atom_class_of(self) -> dict[int, int]:
@@ -317,13 +310,8 @@ class FiniteMonoid:
     @cached_property
     def _two_sided_orbits(self) -> tuple[frozenset[int], ...]:
         # _two_sided_orbits[x] = H x H, the set of elements x divides.
-        n = self.size
-        t = self.table
-        orbits = []
-        for x in range(n):
-            left = {t[u][x] for u in range(n)}
-            orbits.append(frozenset(t[l][v] for l in left for v in range(n)))
-        return tuple(orbits)
+        side = tuple(self.elements())
+        return tuple(_two_sided_orbit(self.table, x, side) for x in side)
 
     def __repr__(self):
         return f"FiniteMonoid(size={self.size})"

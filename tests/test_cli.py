@@ -330,6 +330,17 @@ def test_layer_cap_ends_analyze_with_exit_1(capsys, monkeypatch):
     assert err == "factorbench: layer iteration exceeded 1 steps\n"
 
 
+def test_memory_error_ends_with_exit_1_and_one_line(capsys, monkeypatch):
+    def exhausted(ns):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "analyze", exhausted)
+    code, out, err = run_cli(capsys, "analyze", "--cyclic", "5")
+    assert (code, out) == (1, "")
+    assert err == "factorbench: out of memory\n"
+    assert "Traceback" not in err
+
+
 def test_text_format_renders_same_data(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--cyclic", "3", "--format", "text")
     assert code == 0

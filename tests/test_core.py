@@ -119,7 +119,10 @@ def test_units_and_association_match_sandwich_scan(sample_corpus):
         t = H.table
         units = brute_units(t)
         assert H.units == units, name
-        assert H.association == association_orbits(t, units)[0], name
+        atoms = brute_atoms(t)
+        classes = association_orbits(t, units)[1]
+        assert H.atom_classes == tuple(c for c in classes if c[0] in atoms), name
+        assert set().union(*H.atom_classes) == atoms, name
 
 
 def test_instance_catalog():
@@ -215,23 +218,25 @@ def test_divides_examples(n3, h2, sample_corpus):
     for name, H in sample_corpus:
         for x in H.elements():
             assert H.divides(0, x), name  # identity divides everything
-    # spot-check against the brute two-sided scan
-    for name, H in [("N3", n3), ("H2", h2)]:
+    # check against the brute two-sided scan
+    for name, H in sample_corpus + corpus_members(3):
         for x in H.elements():
             for y in H.elements():
                 assert H.divides(x, y) == brute_divides(H.table, x, y), name
 
 
 def test_association_partition(n3):
-    assert n3.association == (0, 1, 2)  # reduced monoid: singletons
-    assert association_orbits(n3.table, n3.units)[1] == ((0,), (1,), (2,))
+    # reduced monoid: singletons
+    assert association_orbits(n3.table, n3.units) == ((0, 1, 2), ((0,), (1,), (2,)))
+    assert n3.atom_classes == ((1,),)
     c2n3 = fb.direct_product(fb.cyclic(2), n3)
     # (1,a) and (g,a) are associated via the unit (g,1)
     a1 = c2n3.names.index("(1,a)")
     a2 = c2n3.names.index("(g,a)")
-    assert c2n3.association[a1] == c2n3.association[a2]
     class_of, classes = association_orbits(c2n3.table, c2n3.units)
+    assert class_of[a1] == class_of[a2]
     assert classes[class_of[a1]] == (a1, a2)
+    assert c2n3.atom_classes == ((a1, a2),)
 
 
 def test_divisor_closed_submonoid(n3):
@@ -385,14 +390,15 @@ def test_atom_transversal_property(sample_corpus):
             for v in H.units
         }
         assert regenerated == set(H.atoms), name
+        class_of = association_orbits(H.table, H.units)[0]
         for i, a in enumerate(trans):
             for b in trans[i + 1 :]:
-                assert H.association[a] != H.association[b], name
+                assert class_of[a] != class_of[b], name
 
 
 def _reduce(H, gens):
-    _, classes = association_orbits(H.table, H.units)
-    return reduce_generating_set(H.table, H.association, classes, gens)
+    class_of, classes = association_orbits(H.table, H.units)
+    return reduce_generating_set(H.table, class_of, classes, gens)
 
 
 def test_reduce_generating_set(n3, t4):
@@ -405,12 +411,12 @@ def test_reduce_generating_set_properties(sample_corpus):
     for name, H in sample_corpus:
         full = set(x for x in H.elements() if x not in H.units)
         reduced = _reduce(H, full)
-        _, classes = association_orbits(H.table, H.units)
+        class_of, classes = association_orbits(H.table, H.units)
 
         def sandwiched(elems):
             out = set()
             for b in elems:
-                out.update(classes[H.association[b]])
+                out.update(classes[class_of[b]])
             return out
 
         if full:
@@ -418,7 +424,7 @@ def test_reduce_generating_set_properties(sample_corpus):
                 H.table, sandwiched(full)
             ), name
         for a in reduced:
-            rest = [b for b in reduced if H.association[a] != H.association[b]]
+            rest = [b for b in reduced if class_of[a] != class_of[b]]
             assert a not in semigroup_closure(H.table, sandwiched(rest)), name
 
 
