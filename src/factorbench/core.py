@@ -178,8 +178,8 @@ class FiniteMonoid:
     C speed for g generators (g is 1 for a cyclic group and n - 2 for a null
     monoid, which no smaller set generates), O(n^2 * g) byte operations but
     only O(n * g) steps of Python.  It eagerly computes the unit group; the
-    atoms, their associate classes and the divisibility table are built on
-    first use.
+    atoms and their associate classes are built on first use, and the set of
+    elements x divides on the first divisibility query about x.
     Instances are immutable and all queries are pure, so they are safe to
     share between workers.
     """
@@ -206,10 +206,12 @@ class FiniteMonoid:
         if names is None:
             names = ("1",) + tuple(f"x{i}" for i in range(1, n))
         else:
-            try:
-                names = tuple(str(s) for s in names)
-            except TypeError:
-                raise ValueError(f"names must be a list of {n} strings") from None
+            if not isinstance(names, (list, tuple)):
+                raise ValueError(f"names must be a list of {n} strings, not {type(names).__name__}")
+            bad = next((i for i, s in enumerate(names) if not isinstance(s, str)), None)
+            if bad is not None:
+                raise ValueError(f"name {bad} is {names[bad]!r}, not a string")
+            names = tuple(names)
             if len(names) != n:
                 raise ValueError(f"got {len(names)} names for {n} elements")
             if len(set(names)) != n:
@@ -218,6 +220,7 @@ class FiniteMonoid:
         self.table = rows
         self.names = names
         self.units = self._compute_units()
+        self._multiples: dict[int, frozenset[int]] = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -231,8 +234,12 @@ class FiniteMonoid:
         return x in self.units
 
     def divides(self, x: int, y: int) -> bool:
-        """x divides y: y = u*x*v for some u, v in H."""
-        return y in self._two_sided_orbits[x]
+        """x divides y: y = u*x*v for some u, v in H.  HxH, the set of elements
+        x divides, is built on the first query about x and kept."""
+        multiples = self._multiples.get(x)
+        if multiples is None:
+            multiples = self._multiples[x] = _two_sided_orbit(self.table, x, tuple(self.elements()))
+        return y in multiples
 
     def index_of(self, name: str) -> int:
         try:
@@ -244,10 +251,13 @@ class FiniteMonoid:
         return self.analysis.completion_test(x)
 
     def prime_candidates(self, p: int):
-        return product(self.elements(), repeat=2)
+        # HpH is an ideal, so a pair with a factor p divides has a product p
+        # divides and cannot refute p: only the other pairs are offered.
+        others = [x for x in self.elements() if not self.divides(p, x)]
+        return product(others, repeat=2)
 
     def powerful(self, a: int):
-        conflict = self.analysis.powerful_conflicts[self.atom_class_of[a]]
+        conflict = self.analysis.powerful_conflict(self.atom_class_of[a])
         return conflict is None, conflict
 
     # -- cached structure ----------------------------------------------
@@ -306,12 +316,6 @@ class FiniteMonoid:
         """The reduced power monoid of this monoid, built on first use."""
         from .power import _setwise_monoid
         return _setwise_monoid(self)
-
-    @cached_property
-    def _two_sided_orbits(self) -> tuple[frozenset[int], ...]:
-        # _two_sided_orbits[x] = H x H, the set of elements x divides.
-        side = tuple(self.elements())
-        return tuple(_two_sided_orbit(self.table, x, side) for x in side)
 
     def __repr__(self):
         return f"FiniteMonoid(size={self.size})"

@@ -9,8 +9,9 @@ still be completed to x?); prime_candidates(p), the pairs that could refute
 p's primality, in lexicographic order; and powerful(a), as is_powerful
 returns it.  FiniteMonoid (from .core) answers from H.analysis, which the
 finite-only operations (length sets, classifiers, catalogs, the factorial
-battery) read too, and offers every pair.  IntegerFragment (1..limit under
-multiplication, atoms = primes) answers by arithmetic.
+battery) read too, and offers the pairs of elements p does not divide.
+IntegerFragment (1..limit under multiplication, atoms = primes) answers by
+arithmetic.
 
 Atom words are plain tuples of carrier elements; the empty tuple is the empty
 word.
@@ -304,7 +305,7 @@ def is_powerful(S, a) -> tuple[bool, tuple | None]:
     digraph from the identity, with edge weight 1 exactly on edges whose atom
     is associated to a: factorizations of an element are walks to its vertex,
     so a is powerful iff no vertex receives two distinct potentials (see
-    AtomAnalysis.powerful_conflicts).  Returns (flag, conflict) with
+    AtomAnalysis.powerful_conflict).  Returns (flag, conflict) with
     conflict = (element, potential_a, potential_b).
 
     For the integer fragment the prime valuation is determined by the element
@@ -457,8 +458,9 @@ class AtomAnalysis:
     """The atom Cayley digraph s -> s*a of a finite monoid, kept as
     H.analysis, with each part computed on first use.  Cross-check sides
     share only the successor table: BF reads the length sets, FF one search
-    for a back edge, the powerful-atom route of factoriality the potentials
-    (its other route reads only the unit group)."""
+    for a back edge, the powerful-atom route of factoriality one potential
+    search per atom class it asks about (its other route reads only the unit
+    group)."""
 
     def __init__(self, H):
         self.H = H
@@ -558,37 +560,28 @@ class AtomAnalysis:
             hf=atomic and all(ls.is_finite and len(ls.finite_part) == 1 for ls in nonunit_sets),
         )
 
-    @cached_property
-    def powerful_conflicts(self) -> tuple[tuple | None, ...]:
-        """Per atom class, the conflict is_powerful reports, or None.
+    def powerful_conflict(self, c: int) -> tuple | None:
+        """The conflict is_powerful reports for atom class c, or None.
 
-        A class's potential at a vertex is its letter count on the walk of
-        the breadth-first tree from the identity.  The search order does not
-        depend on the class, so one search with class-count vectors as
-        potentials meets, for every class, the first conflicting edge that a
-        search for that class alone meets.  Later edges cannot change a
-        class's first conflict, so the search stops once every class has one."""
+        Class c's potential at a vertex is its letter count on the walk of
+        the breadth-first tree from the identity.  The conflict is the first
+        edge, in breadth-first order, whose count differs from the potential
+        already at its target, as (target, potential, count)."""
         H = self.H
-        letters = [H.atom_class_of[a] for a in H.atoms]
-        conflicts: list[tuple | None] = [None] * len(H.atom_classes)
-        open_classes = len(conflicts)
-        potential = {H.identity: (0,) * len(conflicts)}
+        weights = [H.atom_class_of[a] == c for a in H.atoms]
+        potential: list[int | None] = [None] * len(self.succ)
+        potential[H.identity] = 0
         queue = [H.identity]
         for s in queue:
             base = potential[s]
-            for t, c in zip(self.succ[s], letters):
-                w = base[:c] + (base[c] + 1,) + base[c + 1 :]
-                if t not in potential:
+            for t, d in zip(self.succ[s], weights):
+                old, w = potential[t], base + d
+                if old is None:
                     potential[t] = w
                     queue.append(t)
-                elif potential[t] != w:
-                    for k, (old, new) in enumerate(zip(potential[t], w)):
-                        if old != new and conflicts[k] is None:
-                            conflicts[k] = (t, old, new)
-                            open_classes -= 1
-                            if not open_classes:
-                                return tuple(conflicts)
-        return tuple(conflicts)
+                elif old != w:
+                    return t, old, w
+        return None
 
     @cached_property
     def catalog(self) -> MinimalCatalog:

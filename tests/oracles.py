@@ -166,6 +166,21 @@ def brute_divides(table, x, y):
     return any(table[table[u][x]][v] == y for u in range(n) for v in range(n))
 
 
+def all_pairs_prime_scan(table, p):
+    """Primality of p in a finite monoid by the scan over every pair (x, y)
+    in lexicographic order: (flag, the first pair with p | x*y but p dividing
+    neither), with p's multiples read off all n^2 sandwiches u*p*v."""
+    n = len(table)
+    if p in brute_units(table):
+        return False, None
+    multiples = {table[table[u][p]][v] for u in range(n) for v in range(n)}
+    for x in range(n):
+        for y in range(n):
+            if table[x][y] in multiples and x not in multiples and y not in multiples:
+                return False, (x, y)
+    return True, None
+
+
 def element_order(table, x):
     """|{x, x^2, x^3, ...}|, the number of distinct positive powers of x."""
     powers = []

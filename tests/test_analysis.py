@@ -3,9 +3,12 @@ simple-path searches it replaced (kept in oracles.py), and a request
 computes each of its quantities once."""
 
 from collections import Counter
+from dataclasses import replace
+
+import pytest
 
 import factorbench as fb
-from factorbench import factorization
+from factorbench import corpus, factorization
 from factorbench.cli import main
 from factorbench.core import FiniteMonoid
 from factorbench.corpus import corpus_members, scan_member
@@ -25,10 +28,11 @@ from test_random_monoids import INSTANCES
 def test_potentials_and_cycles_match_oracles(sample_corpus):
     monoids = sample_corpus + corpus_members(3)
     monoids += [(f"seed{seed}", H) for seed, H in INSTANCES]
-    # every atom class meets its conflict before the search ends on these two
+    # many atom classes, each searched on its own; and one class of 48 atoms
     monoids += [
         ("null(22)", fb.null_monoid(22)),
         ("P(C6)", build_reduced_power_monoid(fb.cyclic(6))),
+        ("N3xC48", fb.direct_product(fb.null_monoid(1), fb.cyclic(48))),
     ]
     for name, H in monoids:
         for a in H.atoms:
@@ -220,3 +224,28 @@ def test_scan_member_names_the_first_gap_of_each_pair():
         "N3: lengths 3+1 missing at 2*1",
         "N3: lengths 2+2 missing at 2*2",
     ]
+
+
+@pytest.mark.parametrize(
+    "name, battery, arithmetic, violation",
+    [
+        ("N3", {"acyclic": False, "group": True}, {}, "N3: acyclic=False but group=True"),
+        ("N3", {}, {"bf": True, "ff": False}, "N3: bf=True but ff=False"),
+        ("C3", {"unit_cancellative": False}, {}, "C3: acyclic but not unit-cancellative"),
+        (
+            "N3",
+            {"acyclic": True, "group": True, "unit_cancellative": True},
+            {},
+            "N3: acyclic with non-trivial idempotents (2,)",
+        ),
+    ],
+    ids=["acyclic-group", "bf-ff", "unit-cancellative", "idempotents"],
+)
+def test_scan_member_names_each_contradicted_flag(monkeypatch, name, battery, arithmetic, violation):
+    # N3 is neither acyclic nor BF, C3 is an acyclic group; each stub
+    # contradicts one of the finite-case facts the scan checks
+    H = {"N3": fb.null_monoid(1), "C3": fb.cyclic(3)}[name]
+    rep, flags = fb.property_battery(H), fb.classify_arithmetic(H)
+    monkeypatch.setattr(corpus, "property_battery", lambda _: replace(rep, **battery))
+    monkeypatch.setattr(corpus, "classify_arithmetic", lambda _: replace(flags, **arithmetic))
+    assert scan_member(name, H) == [violation]

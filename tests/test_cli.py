@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factorbench as fb
-from factorbench import cli, factorization
+from factorbench import cli, factorization, presentations
 from factorbench.cli import main
 from factorbench.factorization import integer_class_table
 from factorbench.presentations import EMPTY_LITERAL
@@ -39,6 +39,23 @@ def test_analyze_from_file(tmp_path, capsys, n3):
     assert body["atoms"] == ["a"]
     assert report["version"] == fb.__version__
     assert len(report["input_digest"]) == 64
+
+
+def test_analyze_trivial(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--trivial")
+    assert code == 0
+    report = json.loads(out)
+    assert report["input_digest"] == hashlib.sha256(b"trivial").hexdigest()
+    body = report["report"]
+    assert (body["size"], body["atoms"], body["units"], body["kappa"]) == (1, [], ["1"], 0)
+
+
+def test_present_verify_exits_two_on_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(presentations, "_normal_form", lambda s: s[:1])
+    code, out, err = run_cli(capsys, "present", "verify", "--family", "ladder", "--samples", "50")
+    assert code == 2 and err == ""
+    report = json.loads(out)["report"]
+    assert report["ok"] is False and report["cancellation_failures"] > 0
 
 
 def test_report_counts_are_the_counts_of_their_representatives(tmp_path, capsys):
@@ -460,17 +477,32 @@ def test_commands_refuse_flags_they_do_not_read(capsys):
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
+N3_TABLE = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [json.dumps(doc) for doc in [{"table": 5}, {"table": [0]}, {"table": [[0]], "names": 5}]]
-    + ['{"table": ' + "[" * 100_000 + "]" * 100_000 + "}"],
-    ids=["table-int", "row-int", "names-int", "deep-nesting"],
+    "text, message",
+    [
+        (json.dumps({"table": 5}), "a table must be a list of rows"),
+        (json.dumps({"table": [0]}), "a table must be a list of rows"),
+        (json.dumps({"table": [[0]], "names": 5}), "names must be a list of 1 strings, not int"),
+        ('{"table": ' + "[" * 100_000 + "]" * 100_000 + "}", "nests too deeply"),
+        (json.dumps({"table": N3_TABLE, "names": [1, 2, 3]}), "name 0 is 1, not a string"),
+        (json.dumps({"table": N3_TABLE, "names": "1a0"}), "names must be a list of 3 strings, not str"),
+        (json.dumps({"table": N3_TABLE, "names": {"1": 0, "a": 1, "0": 2}}), "names must be a list of 3 strings, not dict"),
+        (json.dumps({"table": N3_TABLE, "names": [None, True, 3.5]}), "name 0 is None, not a string"),
+    ],
+    ids=[
+        "table-int", "row-int", "names-int", "deep-nesting",
+        "names-ints", "names-str", "names-object", "names-scalars",
+    ],
 )
-def test_malformed_cayley_file_exits_one(tmp_path, capsys, text):
+def test_malformed_cayley_file_exits_one(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, "analyze", "--in", str(path))
     assert code == 1 and out == "" and err.startswith("factorbench: ")
+    assert message in err
 
 
 JSON_SCALARS = st.one_of(

@@ -1,4 +1,5 @@
 import json
+import re
 from enum import IntEnum
 
 import pytest
@@ -56,6 +57,24 @@ def test_identity_violation_rejected():
 def test_out_of_range_rejected():
     with pytest.raises(IndexOutOfRange):
         FiniteMonoid([[0, 1], [1, 7]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FiniteMonoid(N3_TABLE, ["1", "a"]), "got 2 names for 3 elements"),
+        (lambda: FiniteMonoid(N3_TABLE, ["1", "a", "a"]), "element names must be distinct"),
+        (lambda: FiniteMonoid(N3_TABLE, ("1", "a", 0)), "name 2 is 0, not a string"),
+        (lambda: FiniteMonoid(N3_TABLE, (c for c in "1a0")), "names must be a list of 3 strings, not generator"),
+        (lambda: fb.full_transformation(0), "need at least one point"),
+        (lambda: fb.gl(0, 2), "need n >= 1 and modulus >= 2"),
+        (lambda: fb.gl(2, 1), "need n >= 1 and modulus >= 2"),
+    ],
+    ids=["names-count", "names-repeat", "name-int", "names-generator", "no-points", "gl-size", "gl-modulus"],
+)
+def test_refusal_names_its_fault(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class Letter(IntEnum):

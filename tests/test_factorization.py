@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,7 @@ import factorbench as fb
 from factorbench.errors import AlphabetMismatch, CapExceeded, CrossCheckMismatch
 from factorbench.core import FiniteMonoid
 from factorbench.corpus import corpus_members
-from factorbench import factorization
+from factorbench import core, factorization
 from factorbench.factorization import (
     AtomAnalysis,
     IntegerFragment,
@@ -17,6 +19,7 @@ from factorbench.factorization import (
 )
 from factorbench.power import build_reduced_power_monoid
 from oracles import (
+    all_pairs_prime_scan,
     brute_lengths,
     brute_ordered_factorizations,
     class_count_vector,
@@ -32,6 +35,20 @@ from oracles import (
 )
 from test_random_monoids import INSTANCES
 from test_structure import monogenic_table
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: fb.enumerate_factorizations(fb.null_monoid(1), 2, -1), "max_len must be >= 0"),
+        (lambda: LengthSet.build([-1], 0, 0, ()), "negative data in length set"),
+        (lambda: LengthSet.build([0], 0, 2, (1,)), "finite part must sit below the threshold"),
+    ],
+    ids=["negative-max-len", "negative-length", "finite-above-threshold"],
+)
+def test_refusal_names_its_fault(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def class_vector(S, w):
@@ -375,6 +392,32 @@ def test_prime_examples(n3, t4, h2):
     assert t4.divides(1, t4.mul(x, y)) and not t4.divides(1, x) and not t4.divides(1, y)
 
 
+def test_finite_primes_agree_with_the_all_pairs_scan(sample_corpus):
+    # the candidates skip every pair with a factor p divides, which cannot
+    # refute p, so flag and counterexample stay those of the full scan
+    n3xc48 = fb.direct_product(fb.null_monoid(1), fb.cyclic(48))
+    for name, H in sample_corpus + corpus_members(3) + [("N3xC48", n3xc48)]:
+        for p in H.elements():
+            assert fb.is_prime(H, p) == all_pairs_prime_scan(H.table, p), (name, p)
+
+
+def test_first_is_prime_computes_one_two_sided_orbit(monkeypatch):
+    calls = []
+
+    def counted(rows, x, side):
+        calls.append(x)
+        return orbit(rows, x, side)
+
+    orbit = core._two_sided_orbit
+    monkeypatch.setattr(core, "_two_sided_orbit", counted)
+    H = fb.direct_product(fb.null_monoid(1), fb.cyclic(48))
+    p = H.size - 1
+    fb.is_prime(H, p)
+    assert calls == [p]
+    fb.is_prime(H, p)
+    assert calls == [p]
+
+
 def test_units_are_never_prime(sample_corpus):
     for name, H in sample_corpus:
         for u in H.units:
@@ -561,11 +604,11 @@ def test_finite_factoriality_is_being_a_group(sample_corpus):
     assert seen == {(True, True), (True, False), (False, False)}
 
 
-def test_factoriality_routes_can_disagree():
+def test_factoriality_routes_can_disagree(monkeypatch):
     # With every atom made powerful, N3 passes the powerful-atom route, but it
     # is not a group.
     H = fb.null_monoid(1)
-    H.analysis.__dict__["powerful_conflicts"] = (None,) * len(H.atom_classes)
+    monkeypatch.setattr(H.analysis, "powerful_conflict", lambda c: None)
     with pytest.raises(CrossCheckMismatch, match="powerful-atoms=True, group=False"):
         fb.factorial_battery(H)
 
@@ -683,6 +726,16 @@ def test_class_disagreements_report_a_planted_word():
     # 24 = 2 * 12 reads the planted word; 36 = 3 * 12 and 60 = 5 * 12 are the
     # pairs that define word[36] and word[60], which are not compared
     assert found == {12: {(2, 6), (2, 2, 3)}, 24: {(2, 2, 2, 3), (2, 2, 6)}}
+
+
+def test_integer_class_table_lists_a_planted_second_class(monkeypatch):
+    # with 4 taken as an atom, 12 = 3*4 = 2*2*3 has two classes, and 12 is
+    # the least n at which two candidate words disagree
+    primes = factorization.primes_up_to
+    monkeypatch.setattr(factorization, "primes_up_to", lambda limit: tuple(sorted(primes(limit) + (4,))))
+    table = integer_class_table(12)
+    assert table[12] == ((2, 2, 3), (3, 4))
+    assert all(len(table[n]) == 1 for n in range(1, 12))
 
 
 @pytest.mark.parametrize("build", [IntegerFragment, integer_class_table])

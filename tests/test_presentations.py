@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from factorbench import presentations
 from factorbench.errors import AlphabetMismatch, EmptyRelationSide, ParseError
 from factorbench.presentations import (
     CongruenceStatus,
@@ -88,6 +89,23 @@ def test_parse_empty_word_and_errors():
         parse_presentation("gens: x; rel: x == x")
     with pytest.raises(ParseError):
         parse_presentation("gens: x; wat: x")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Presentation(("x", "e"), ()), ParseError, "'e' is reserved for the empty word"),
+        (lambda: parse_presentation("gens: x; gens: y"), ParseError, "second gens clause (at clause 2)"),
+        (lambda: parse_presentation("gens: ; rel: e = e"), ParseError, "gens clause declares nothing (at clause 1)"),
+        (lambda: parse_presentation(" ; "), ParseError, "no gens clause"),
+        (lambda: sandwich_power(0), ValueError, "n must be >= 1"),
+        (lambda: ladder_presentation(-1), ValueError, "rungs must be >= 0"),
+    ],
+    ids=["reserved-e", "second-gens", "empty-gens", "no-gens", "sandwich-zero", "negative-rungs"],
+)
+def test_refusal_names_its_fault(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 # -- left/right graphs ------------------------------------------------------------
@@ -454,6 +472,27 @@ def test_verification_matches_choice_oracle():
 def test_verification_refuses_negative_sizes(samples, max_len, message):
     with pytest.raises(ValueError, match=message):
         verify_ladder_properties(samples, max_len)
+
+
+FAILURE_COUNTERS = ("cancellation_failures", "acyclicity_failures", "confluence_failures", "psi_failures")
+
+
+@pytest.mark.parametrize(
+    "name, fake, failing",
+    [
+        # the first letter is no normal form: it cancels, it is reached from
+        # longer words, and random-order contraction does not land on it
+        ("_normal_form", lambda s: s[:1], FAILURE_COUNTERS[:3]),
+        # a rewrite that appends a factor x*z changes psi and nothing else
+        ("_random_congruent", lambda bits, s, steps: s + "xz", FAILURE_COUNTERS[3:]),
+    ],
+    ids=["first-letter-normal-form", "factor-appending-rewrite"],
+)
+def test_verification_counts_each_failure(monkeypatch, name, fake, failing):
+    monkeypatch.setattr(presentations, name, fake)
+    rep = verify_ladder_properties(200, 6, 3)
+    assert tuple(f for f in FAILURE_COUNTERS if getattr(rep, f)) == failing
+    assert not rep.ok
 
 
 def test_verification_handles_specific_instances():

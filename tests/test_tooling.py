@@ -2,12 +2,14 @@
 scripts run end to end, every command line and the library tour in the
 README run, the README lists exactly the flags each command declares, the
 error types match what the benchmark reads and what the code raises,
+the benchmark's span metrics name functions and classes that exist,
 every public definition and private function in src/ is used outside
 itself, and every public member of a class in src/ is read in src/ or
 scripts/."""
 
 import argparse
 import ast
+import json
 import os
 import re
 import shlex
@@ -119,6 +121,26 @@ def test_benchmark_reads_the_cap_errors_the_code_raises(monkeypatch):
         with pytest.raises(CapExceeded) as info:
             cap()
         assert cap_messages.search(str(info.value)), str(info.value)
+
+
+def test_benchmark_span_metrics_name_public_definitions():
+    # the tracer finds a span by the name in <layer>.<name>.s|calls|rejected,
+    # so a renamed function or class would leave its metric silently empty
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spans = set()
+    for metric in spec["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) == 3 and parts[2] in ("s", "calls", "rejected"):
+            spans.add((parts[0], parts[1]))
+    assert len(spans) > 10
+    public = {}
+    for layer in {layer for layer, _ in spans}:
+        tree = ast.parse((ROOT / "src" / "factorbench" / f"{layer}.py").read_text(encoding="utf-8"))
+        public[layer] = {
+            stmt.name for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+        }
+    assert not {f"{layer}.{name}" for layer, name in spans if name not in public[layer]}
 
 
 def test_every_error_class_is_raised_in_src():
