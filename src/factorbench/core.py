@@ -17,8 +17,9 @@ from operator import itemgetter, mul
 
 from .errors import CapExceeded, IndexOutOfRange, NoIdentity, NotAssociative
 
-# Bounds gl's candidate matrices, small_monoids' candidate tables and the
-# values of the CLI size flags (full_transformation stops at 3 points).
+# Bounds gl's candidate matrices, the cell values small_monoids' search tries
+# for one order, and the values of the CLI size flags (full_transformation
+# stops at 3 points).
 ENUMERATION_CAP = 10**6
 
 # Built instances (cyclic, null_monoid, gl, direct_product, reduced power

@@ -24,8 +24,9 @@ class AlphabetMismatch(FactorbenchError):
 
 
 class CapExceeded(FactorbenchError):
-    """A size or work cap refused the input: an order, a candidate count, a
-    size flag, the enumeration word cap or the layer iteration bound."""
+    """A size or work cap refused the input: an order, a candidate count, the
+    cell values of the corpus search, a size flag, the enumeration word cap
+    or the layer iteration bound."""
 
 
 class CrossCheckMismatch(FactorbenchError):

@@ -19,6 +19,7 @@ word.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
@@ -336,21 +337,29 @@ def integer_class_table(limit: int) -> list[tuple[tuple[int, ...], ...] | None]:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    primes = primes_up_to(limit)
-    largest = [1] * (limit + 1)
-    for p in primes:  # ascending, so the largest prime factor is written last
-        largest[p::p] = [p] * (limit // p)
-    word: list = [None, ()] + [None] * (limit - 1)
-    lo = 2
-    while lo <= limit:  # block [lo, 2*lo) reads only n // P < lo
-        hi = min(2 * lo, limit + 1)
-        top = largest[lo:hi]
-        word[lo:hi] = map(add, map(word.__getitem__, map(floordiv, range(lo, hi), top)), zip(top))
-        lo = hi
-    table = list(zip(word))
-    table[0] = None
-    for n, classes in _class_disagreements(word, largest, primes).items():
-        table[n] = tuple(sorted(classes))
+    # The words and candidates are tuples of ints, never part of a cycle, so
+    # the cyclic collector would only walk them over and over: pause it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        primes = primes_up_to(limit)
+        largest = [1] * (limit + 1)
+        for p in primes:  # ascending, so the largest prime factor is written last
+            largest[p::p] = [p] * (limit // p)
+        word: list = [None, ()] + [None] * (limit - 1)
+        lo = 2
+        while lo <= limit:  # block [lo, 2*lo) reads only n // P < lo
+            hi = min(2 * lo, limit + 1)
+            top = largest[lo:hi]
+            word[lo:hi] = map(add, map(word.__getitem__, map(floordiv, range(lo, hi), top)), zip(top))
+            lo = hi
+        table = list(zip(word))
+        table[0] = None
+        for n, classes in _class_disagreements(word, largest, primes).items():
+            table[n] = tuple(sorted(classes))
+    finally:
+        if collecting:
+            gc.enable()
     return table
 
 

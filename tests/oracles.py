@@ -25,6 +25,18 @@ def associativity_triples(table):
     return bad
 
 
+def brute_small_monoids(n):
+    """Every monoid table of order n with element 0 the identity: each of the
+    n^(n*n) full tables in lexicographic order, kept iff row 0 and column 0
+    are the identity's and every triple associates."""
+    out = []
+    for flat in product(range(n), repeat=n * n):
+        table = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        if all(table[0][x] == x == table[x][0] for x in range(n)) and not associativity_triples(table):
+            out.append(table)
+    return out
+
+
 def row_map_light_test(rows, gens):
     """Light's test row by row through the map builtin: (x*a)*y == x*(a*y)
     for every a in gens and every x, y, n^2 * len(gens) subscripts in all."""

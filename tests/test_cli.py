@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factorbench as fb
-from factorbench import cli, factorization, presentations
+from factorbench import cli, corpus, factorization, presentations
 from factorbench.cli import main
 from factorbench.factorization import integer_class_table
 from factorbench.presentations import EMPTY_LITERAL
@@ -267,6 +267,12 @@ def test_corpus_scan(capsys):
     assert json.loads(out)["report"]["ok"] is True
 
 
+def test_corpus_scans_every_table_of_order_four(capsys):
+    code, out, _ = run_cli(capsys, "corpus", "--max-order", "4")
+    assert code == 0
+    assert json.loads(out)["report"]["violations"] == []
+
+
 def test_reports_are_byte_identical(tmp_path, capsys, n3):
     path = tmp_path / "n3.json"
     fb.save_cayley(n3, path)
@@ -364,7 +370,7 @@ def test_text_format_renders_same_data(capsys):
     assert "group: True" in out and "kappa: 0" in out
 
 
-def test_error_paths(tmp_path, capsys):
+def test_error_paths(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "analyze", "--in", "/nonexistent.json")
     assert code == 1 and "factorbench" in err
     code, _, err = run_cli(capsys, "analyze")
@@ -392,8 +398,10 @@ def test_error_paths(tmp_path, capsys):
     assert code == 1 and out == "" and "--samples -5 is below 0" in err
     code, out, _ = run_cli(capsys, "present", "verify", "--family", "ladder", "--samples", "0")
     assert code == 0 and json.loads(out)["report"]["samples"] == 0
+    monkeypatch.setattr(corpus, "ENUMERATION_CAP", 100)
     code, out, err = run_cli(capsys, "corpus", "--max-order", "4")
-    assert code == 1 and out == "" and "4^16 candidate tables" in err
+    assert code == 1 and out == ""
+    assert err == "factorbench: order 4: 101 cell values tried, above the cap 100, after 9 tables\n"
     code, out, err = run_cli(capsys, "corpus", "--max-order", "-1")
     assert code == 1 and out == "" and "--max-order -1 is below 0" in err
     code, out, err = run_cli(

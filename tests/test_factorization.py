@@ -1,3 +1,4 @@
+import gc
 import re
 
 import pytest
@@ -705,6 +706,28 @@ def test_integer_class_table_matches_the_set_oracle():
         assert len(table) == limit + 1 and table[0] is None and oracle[0] is None, limit
         for n in range(1, limit + 1):
             assert set(table[n]) == oracle[n] and table[n] == tuple(sorted(oracle[n])), (limit, n)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_integer_class_table_restores_the_collector(monkeypatch, collecting):
+    # the build pauses the cyclic collector; it leaves it as it found it,
+    # whether the build returns or raises
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        integer_class_table(100)
+        assert gc.isenabled() is collecting
+
+        def fail(*args):
+            assert not gc.isenabled()
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(factorization, "_class_disagreements", fail)
+        with pytest.raises(RuntimeError, match="planted"):
+            integer_class_table(100)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_primes_up_to_matches_trial_division():

@@ -2,7 +2,8 @@
 associativity test names the same first bad triple as the full triple scan
 and agrees with the row-by-row map version on both of its kernels, the
 property battery gives the flags and witnesses of oracles.naive_battery,
-and neither does more than its bound of table subscripts."""
+neither does more than its bound of table subscripts, and the corpus's
+backtracking search yields the tables of the full scan in its order."""
 
 import random
 
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 import factorbench as fb
 from factorbench import core
 from factorbench.core import FiniteMonoid
-from factorbench.corpus import corpus_members
+from factorbench.corpus import corpus_members, small_monoids
 from factorbench.errors import NotAssociative
-from oracles import associativity_triples, naive_battery, row_map_light_test
+from oracles import associativity_triples, brute_small_monoids, naive_battery, row_map_light_test
 from test_random_monoids import INSTANCES, random_transformation_monoid
 
 
@@ -246,3 +247,18 @@ def test_light_kernels_agree_with_row_map_version(n):
             some = rng.sample(range(n), 5)
             assert core._associates_on(rows, some) == row_map_light_test(rows, some)
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_monoids_are_the_full_scan_in_its_order(n):
+    assert [H.table for H in small_monoids(n)] == brute_small_monoids(n)
+
+
+def test_small_monoids_counts_to_order_five():
+    # the labelled monoids of order n with identity 0; each yielded table
+    # passed FiniteMonoid's own validation, and they come in strictly
+    # increasing lexicographic order
+    for n, count in zip(range(1, 6), (1, 2, 11, 156, 4122)):
+        tables = [H.table for H in small_monoids(n)]
+        assert len(tables) == count, n
+        assert all(s < t for s, t in zip(tables, tables[1:])), n

@@ -47,10 +47,10 @@ def test_script_exits_zero(script, args):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_run_corpus_refuses_order_four():
-    proc = _run_script("run_corpus.py", "--max-order", "4")
+def test_run_corpus_refuses_order_six():
+    proc = _run_script("run_corpus.py", "--max-order", "6")
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert proc.stderr.startswith("run_corpus: 4^16 candidate tables"), proc.stderr
+    assert proc.stderr.startswith("run_corpus: order 6: 1000001 cell values tried, above the cap"), proc.stderr
     assert "Traceback" not in proc.stderr
 
 
