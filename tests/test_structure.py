@@ -248,7 +248,6 @@ def test_light_kernels_agree_with_row_map_version(n):
             assert core._associates_on(rows, some) == row_map_light_test(rows, some)
 
 
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_small_monoids_are_the_full_scan_in_its_order(n):
     assert [H.table for H in small_monoids(n)] == brute_small_monoids(n)
