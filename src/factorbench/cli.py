@@ -232,11 +232,9 @@ def _cmd_ints(ns):
     S = IntegerFragment(limit)
     digest = _digest(f"ints:{limit}:{prime_bound}".encode())
 
-    # Unique factorization: exactly one congruence class per n.  The table
-    # is exact up to the least n with two classes (see integer_class_table),
-    # so that n alone is reported.
-    classes = integer_class_table(limit)
-    non_unique = next(([n] for n in range(2, limit + 1) if len(classes[n]) != 1), [])
+    # Unique factorization: exactly one congruence class per n.
+    least = integer_class_table(limit)
+    non_unique = [] if least is None else [least]
 
     prime_failures = [p for p in primes if not is_prime(S, p)[0]]
     powerful_failures = [p for p in primes if not is_powerful(S, p)[0]]

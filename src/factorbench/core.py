@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii as _jstr
 from operator import itemgetter, mul
 
 from .errors import CapExceeded, IndexOutOfRange, NoIdentity, NotAssociative
+from .factorization import AtomAnalysis
 
 # Bounds gl's candidate matrices, the cell values small_monoids' search tries
 # for one order, and the values of the CLI size flags (full_transformation
@@ -309,7 +310,6 @@ class FiniteMonoid:
     @cached_property
     def analysis(self):
         """The factorization.AtomAnalysis of this monoid, built on first use."""
-        from .factorization import AtomAnalysis
         return AtomAnalysis(self)
 
     @cached_property

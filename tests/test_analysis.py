@@ -100,7 +100,7 @@ def test_catalog_matches_packed_bucket_walk():
     # catalog benchmark other than C5, C6 and N3
     n1, c2, h2 = fb.null_monoid(1), fb.cyclic(2), fb.two_element_with_zero()
     chain7 = FiniteMonoid([[max(i, j) for j in range(7)] for i in range(7)])
-    monoids = corpus_members(4)
+    monoids = corpus_members(5)
     monoids += [("P(N3)", build_reduced_power_monoid(n1))]
     monoids += [(f"P(C{m})", build_reduced_power_monoid(fb.cyclic(m))) for m in range(4, 9)]
     monoids += [("P(C2xC2)", build_reduced_power_monoid(fb.direct_product(c2, c2)))]

