@@ -17,6 +17,7 @@ from operator import itemgetter, mul
 
 from .errors import CapExceeded, IndexOutOfRange, NoIdentity, NotAssociative
 from .factorization import AtomAnalysis
+from .presentations import _letter_fault
 
 # Bounds gl's candidate matrices, the cell values small_monoids' search tries
 # for one order, and the values of the CLI size flags (full_transformation
@@ -182,8 +183,9 @@ class FiniteMonoid:
     only O(n * g) steps of Python.  It eagerly computes the unit group; the
     atoms and their associate classes are built on first use, and the set of
     elements x divides on the first divisibility query about x.
-    Instances are immutable and all queries are pure, so they are safe to
-    share between workers.
+    All queries are pure, but the instance is not frozen: the atoms and their
+    classes, analysis, reduced_power and the sets of multiples are caches
+    that fill on first use.
     """
 
     identity = 0
@@ -218,6 +220,9 @@ class FiniteMonoid:
                 raise ValueError(f"got {len(names)} names for {n} elements")
             if len(set(names)) != n:
                 raise ValueError("element names must be distinct")
+            bad = next(((i, f) for i, f in enumerate(map(_letter_fault, names)) if f), None)
+            if bad is not None:
+                raise ValueError(f"name {bad[0]} is {names[bad[0]]!r}, {bad[1]}")
         self.size = n
         self.table = rows
         self.names = names

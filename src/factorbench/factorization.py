@@ -25,7 +25,7 @@ from functools import cached_property
 from heapq import merge
 from itertools import compress, groupby, repeat
 from math import gcd, isqrt
-from operator import add, eq, floordiv, gt
+from operator import add, floordiv, gt, length_hint, ne
 
 from .errors import AlphabetMismatch, CapExceeded, CrossCheckMismatch
 
@@ -131,8 +131,6 @@ def enumerate_factorizations(S, x, max_len: int) -> list[tuple]:
         raise ValueError("max_len must be >= 0")
     _require_element(S, x)
     admissible = S.completion_test(x)
-    if not admissible(S.identity):
-        return []
     # An explicit stack, bounded by WORD_CAP nodes, replaces recursion and
     # its depth limit; children go on in reverse so they come off in order.
     found, stack, nodes, cap = [], [(S.identity, 0, ())], 0, WORD_CAP
@@ -346,31 +344,23 @@ def integer_class_table(limit: int) -> int | None:
             top = largest[lo:hi]
             word[lo:hi] = map(add, map(word.__getitem__, map(floordiv, range(lo, hi), top)), zip(top))
             lo = hi
-        return min(_class_disagreements(word, largest, primes), default=None)
+        least = None
+        for p in primes:  # candidates for n = p*j with largest[j] > p, one pass each
+            top = limit // p
+            if top <= p:  # then every j <= top has largest[j] <= p
+                break
+            above = list(map(gt, largest[1 : top + 1], repeat(p)))
+            rest = iter(word[1 : top + 1])
+            wanted = map(tuple, map(sorted, map(add, compress(rest, above), repeat((p,)))))
+            if any(map(ne, wanted, compress(word[p::p], above))):
+                # any stops at the least j that disagrees and nothing reads ahead, so rest
+                # gave word[1..j]; an index counter per candidate costs ~6% of this loop
+                n = p * (top - length_hint(rest))
+                least = n if least is None else min(least, n)
+        return least
     finally:
         if collecting:
             gc.enable()
-
-
-def _class_disagreements(word, largest, primes) -> dict[int, set[tuple[int, ...]]]:
-    """Each n = p*j, p prime and largest[j] > p, with word[n] !=
-    sorted(word[j] + (p,)), mapped to word[n] and every such candidate.
-    Each prime's candidates are compared with word[p::p] in one pass and
-    walked one by one only if some differ."""
-    limit = len(word) - 1
-    found: dict[int, set[tuple[int, ...]]] = {}
-    for p in primes:
-        top = limit // p
-        if top <= p:  # then every j <= top has largest[j] <= p
-            break
-        above = list(map(gt, largest[1 : top + 1], repeat(p)))
-        wanted = map(tuple, map(sorted, map(add, compress(word[1 : top + 1], above), repeat((p,)))))
-        if not all(map(eq, wanted, compress(word[p::p], above))):
-            for j in compress(range(1, top + 1), above):
-                w, h = tuple(sorted(word[j] + (p,))), word[p * j]
-                if w != h:
-                    found.setdefault(p * j, {h}).add(w)
-    return found
 
 
 # -- factoriality battery -------------------------------------------------------

@@ -54,6 +54,14 @@ def parse_word_text(text: str) -> tuple[str, ...]:
     return parts
 
 
+def _letter_fault(name: str) -> str | None:
+    """Why a word literal cannot spell name as one letter, or None."""
+    if name == EMPTY_LITERAL:
+        return "reserved for the empty word"
+    if not name or "*" in name or name != name.strip():
+        return "not a letter of a word literal (empty, holding '*' or padded by spaces)"
+
+
 def format_word_text(symbols) -> str:
     symbols = tuple(symbols)
     return "*".join(symbols) if symbols else EMPTY_LITERAL
@@ -69,8 +77,10 @@ class Presentation:
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
             raise ParseError("duplicate generator")
-        if EMPTY_LITERAL in self.generators:
-            raise ParseError("'e' is reserved for the empty word")
+        for g in self.generators:
+            fault = _letter_fault(g)
+            if fault is not None:
+                raise ParseError(f"{g!r} is {fault}")
         for lhs, rhs in self.relations:
             self.encode(lhs + rhs)
 
@@ -254,8 +264,6 @@ def conserved_functionals(P: Presentation) -> tuple[tuple[int, ...], ...]:
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
-        if r == len(mat):
-            break
     basis = []
     pivot_set = set(pivots)
     for fc in (c for c in range(width) if c not in pivot_set):
@@ -479,12 +487,8 @@ def _random_order_normal_form(getrandbits, s: str) -> str:
     while m is not None:
         first = m.start()
         # Occurrences cannot overlap: each has one x, at offset 1.
-        second = _CONTRACT.search(s, m.end())
-        if second is None:
-            _randbelow(getrandbits, 1)
-        else:
-            ms = [m, second, *_CONTRACT.finditer(s, second.end())]
-            m = ms[_randbelow(getrandbits, len(ms))]
+        ms = [m, *_CONTRACT.finditer(s, m.end())]
+        m = ms[_randbelow(getrandbits, len(ms))]
         s = _contract(s, m.start(), m.end())
         # Only the contracted text and the letter before it changed, so no
         # occurrence starts before the old leftmost one, less one.

@@ -361,6 +361,22 @@ def test_text_format_renders_same_data(capsys):
     assert "group: True" in out and "kappa: 0" in out
 
 
+# sha256 of the --format text report: a list of dicts and empty lists
+# (analyze), a nested dict (present) and an empty report list (corpus)
+TEXT_GOLDEN = {
+    "analyze --null 2": "1c3f7d49620e1d0ac5e27ffac6b3f86f82a9fd5ff48782efac696f82ce387c34",
+    "present congruent x*x x*x*x --family sandwich-power --n 2": "d501b13a91447f0e27d1ae2d84bb071cdc98dbee301f23454d3e3fa0a02d9aa8",
+    "corpus --max-order 2": "8f658f1d3cda2423a18e7af4801cea694d6b92eca3820d61da70e58a67626d00",
+}
+
+
+@pytest.mark.parametrize("command", list(TEXT_GOLDEN))
+def test_text_format_digest(command, capsys):
+    code, out, err = run_cli(capsys, *command.split(), "--format", "text")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TEXT_GOLDEN[command]
+
+
 def test_error_paths(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "analyze", "--in", "/nonexistent.json")
     assert code == 1 and "factorbench" in err
@@ -490,10 +506,15 @@ N3_TABLE = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
         (json.dumps({"table": N3_TABLE, "names": "1a0"}), "names must be a list of 3 strings, not str"),
         (json.dumps({"table": N3_TABLE, "names": {"1": 0, "a": 1, "0": 2}}), "names must be a list of 3 strings, not dict"),
         (json.dumps({"table": N3_TABLE, "names": [None, True, 3.5]}), "name 0 is None, not a string"),
+        (json.dumps({"table": N3_TABLE, "names": ["1", "e", "0"]}), "name 1 is 'e', reserved for the empty word"),
+        (json.dumps({"table": N3_TABLE, "names": ["1", "a", ""]}), "name 2 is '', not a letter of a word literal"),
+        (json.dumps({"table": N3_TABLE, "names": ["1", "a*b", "0"]}), "name 1 is 'a*b', not a letter of a word literal"),
+        (json.dumps({"table": N3_TABLE, "names": [" 1", "a", "0"]}), "name 0 is ' 1', not a letter of a word literal"),
     ],
     ids=[
         "table-int", "row-int", "names-int", "deep-nesting",
         "names-ints", "names-str", "names-object", "names-scalars",
+        "name-e", "name-empty", "name-star", "name-padded",
     ],
 )
 def test_malformed_cayley_file_exits_one(tmp_path, capsys, text, message):

@@ -720,7 +720,7 @@ def test_integer_class_table_restores_the_collector(monkeypatch, collecting):
             assert not gc.isenabled()
             raise RuntimeError("planted")
 
-        monkeypatch.setattr(factorization, "_class_disagreements", fail)
+        monkeypatch.setattr(factorization, "primes_up_to", fail)
         with pytest.raises(RuntimeError, match="planted"):
             integer_class_table(100)
         assert gc.isenabled() is collecting
@@ -734,19 +734,15 @@ def test_primes_up_to_matches_trial_division():
         assert primes_up_to(limit) == trial, limit
 
 
-def test_class_disagreements_report_a_planted_word():
-    # the integers never disagree, so plant a wrong class on a correct word list
-    limit = 60
-    primes = primes_up_to(limit)
-    word = [None] + [smallest_prime_factorization(n) for n in range(1, limit + 1)]
-    largest = [1, 1] + [w[-1] for w in word[2:]]
-    assert factorization._class_disagreements(word, largest, primes) == {}
-    word[12] = (2, 6)
-    found = factorization._class_disagreements(word, largest, primes)
-    assert min(found) == 12 and found[12] == {(2, 6), (2, 2, 3)}
-    # 24 = 2 * 12 reads the planted word; 36 = 3 * 12 and 60 = 5 * 12 are the
-    # pairs that define word[36] and word[60], which are not compared
-    assert found == {12: {(2, 6), (2, 2, 3)}, 24: {(2, 2, 2, 3), (2, 2, 6)}}
+def test_integer_class_table_finds_a_planted_atom_at_each_limit(monkeypatch):
+    # the integers never disagree, so plant 4 as an atom: 12 = 3*4 = 2*2*3 is
+    # the least n with two classes, and larger limits hold more such n
+    # (24, 36, 48, 60) without moving the answer
+    primes = factorization.primes_up_to
+    monkeypatch.setattr(factorization, "primes_up_to", lambda limit: tuple(sorted(primes(limit) + (4,))))
+    for limit in (12, 24, 60):
+        assert integer_class_table(limit) == 12, limit
+    assert integer_class_table(11) is None
 
 
 def test_integer_class_table_lists_a_planted_second_class(monkeypatch):

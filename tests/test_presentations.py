@@ -91,17 +91,23 @@ def test_parse_empty_word_and_errors():
         parse_presentation("gens: x; wat: x")
 
 
+LETTER_FAULT = "{} is not a letter of a word literal (empty, holding '*' or padded by spaces)"
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
         (lambda: Presentation(("x", "e"), ()), ParseError, "'e' is reserved for the empty word"),
+        (lambda: Presentation(("x", ""), ()), ParseError, LETTER_FAULT.format("''")),
+        (lambda: parse_presentation("gens: a*b"), ParseError, LETTER_FAULT.format("'a*b'")),
+        (lambda: Presentation(("x\t",), ()), ParseError, LETTER_FAULT.format("'x\\t'")),
         (lambda: parse_presentation("gens: x; gens: y"), ParseError, "second gens clause (at clause 2)"),
         (lambda: parse_presentation("gens: ; rel: e = e"), ParseError, "gens clause declares nothing (at clause 1)"),
         (lambda: parse_presentation(" ; "), ParseError, "no gens clause"),
         (lambda: sandwich_power(0), ValueError, "n must be >= 1"),
         (lambda: ladder_presentation(-1), ValueError, "rungs must be >= 0"),
     ],
-    ids=["reserved-e", "second-gens", "empty-gens", "no-gens", "sandwich-zero", "negative-rungs"],
+    ids=["reserved-e", "empty-gen", "star-gen", "padded-gen", "second-gens", "empty-gens", "no-gens", "sandwich-zero", "negative-rungs"],
 )
 def test_refusal_names_its_fault(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

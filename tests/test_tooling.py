@@ -257,12 +257,22 @@ def _declared_flags(parser, prefix=""):
     return declared
 
 
-def _run_script(script, *args):
+def _run_python(*args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=300,
     )
+
+
+def _run_script(script, *args):
+    return _run_python(str(ROOT / "scripts" / script), *args)
+
+
+def test_package_main_prints_the_version():
+    # `python -m factorbench` runs __main__.py, which no in-process test reaches
+    proc = _run_python("-m", "factorbench", "--version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0.1.0\n", "")
