@@ -736,8 +736,7 @@ def test_primes_up_to_matches_trial_division():
 
 def test_integer_class_table_finds_a_planted_atom_at_each_limit(monkeypatch):
     # the integers never disagree, so plant 4 as an atom: 12 = 3*4 = 2*2*3 is
-    # the least n with two classes, and larger limits hold more such n
-    # (24, 36, 48, 60) without moving the answer
+    # the least n at which two candidate words disagree, at every limit from 12
     primes = factorization.primes_up_to
     monkeypatch.setattr(factorization, "primes_up_to", lambda limit: tuple(sorted(primes(limit) + (4,))))
     for limit in (12, 24, 60):
