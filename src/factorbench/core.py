@@ -91,52 +91,41 @@ def _greedy_generators(rows) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _associates_on(rows, gens) -> bool:
-    """Light's associativity test: (x*a)*y == x*(a*y) for every a in gens and
-    every x, y, one whole row y -> x*(a*y) per (x, a), n * len(gens) rows.
+def _first_non_associative(rows, middles) -> tuple[int, int, int] | None:
+    """The first (x, y, z), x-major with y in middles, such that
+    (x*y)*z != x*(y*z); None if there is none.
 
-    Each row is made at C speed.  For n <= 256 the rows are bytes, and row a
-    translated through row x (padded to 256 bytes) is y -> x*(a*y); above
-    that, itemgetter(*row a) applied to row x is the same row as a tuple.
-    Either way the Python loop runs n * len(gens) times, not n^2 * len(gens).
+    One whole row z -> x*(y*z) per (x, y), n * len(middles) rows, each made
+    at C speed.  For n <= 256 the rows are bytes, and row y translated
+    through row x (padded to 256 bytes) is z -> x*(y*z); above that,
+    itemgetter(*row y) applied to row x is the same row as a tuple.  Either
+    way the Python loop runs once per row, and z is sought only in the first
+    row that differs from row x*y.
 
-    It is exact when gens generates the monoid from the identity.  The set B
-    of b with (x*b)*y == x*(b*y) for all x, y contains the identity, and it
-    is closed under products: for b, c in B,
-    (x*(bc))*y = ((x*b)*c)*y = (x*b)*(c*y) = x*(b*(c*y)) = x*((bc)*y).
-    gens lies in B, so everything gens reaches, the whole table, lies in B.
+    With middles a generating set this is Light's test, exact because the
+    set B of b with (x*b)*z == x*(b*z) for all x, z contains the identity
+    and is closed under products: for b, c in B,
+    (x*(bc))*z = ((x*b)*c)*z = (x*b)*(c*z) = x*(b*(c*z)) = x*((bc)*z).
+    The middles lie in B, so everything they reach, the whole table, lies in
+    B.  With every element as middles the answer is the lexicographically
+    first bad triple.
     """
     n = len(rows)
     if n <= 256:
-        brows = [bytes(r) for r in rows]
+        products = [bytes(r) for r in rows]
+        makers = [(y, products[y].translate) for y in middles]
         pad = bytes(256 - n)
-        tables = [b + pad for b in brows]
-        for a in gens:
-            translate = brows[a].translate
-            for rx, tx in zip(rows, tables):
-                if brows[rx[a]] != translate(tx):
-                    return False
-        return True
-    for a in gens:
-        get_a = itemgetter(*rows[a])
-        for rx in rows:
-            if rows[rx[a]] != get_a(rx):
-                return False
-    return True
-
-
-def _raise_first_non_associative(rows) -> None:
-    """Raise NotAssociative at the lexicographically first (x, y, z) with
-    (x*y)*z != x*(y*z); the O(n^3) scan, run only once Light's test failed."""
-    n = len(rows)
-    for x in range(n):
-        rx = rows[x]
-        for y in range(n):
-            rxy = rows[rx[y]]
-            ry = rows[y]
-            for z in range(n):
-                if rxy[z] != rx[ry[z]]:
-                    raise NotAssociative(x, y, z)
+        args = [b + pad for b in products]
+    else:
+        products = rows
+        makers = [(y, itemgetter(*rows[y])) for y in middles]
+        args = rows
+    for x, (rx, arg) in enumerate(zip(rows, args)):
+        for y, make in makers:
+            if products[rx[y]] != make(arg):
+                left, right = products[rx[y]], make(arg)
+                return x, y, next(z for z in range(n) if left[z] != right[z])
+    return None
 
 
 _INT = frozenset({int})
@@ -180,9 +169,11 @@ class FiniteMonoid:
     with Light's test on a greedy generating set: n * g whole rows made at
     C speed for g generators (g is 1 for a cyclic group and n - 2 for a null
     monoid, which no smaller set generates), O(n^2 * g) byte operations but
-    only O(n * g) steps of Python.  It eagerly computes the unit group; the
-    atoms and their associate classes are built on first use, and the set of
-    elements x divides on the first divisibility query about x.
+    only O(n * g) steps of Python.  A table that fails is refused with its
+    lexicographically first bad triple, found by the same row kernel with
+    every element as the middle factor.  It eagerly computes the unit group;
+    the atoms and their associate classes are built on first use, and the
+    set of elements x divides on the first divisibility query about x.
     All queries are pure, but the instance is not frozen: the atoms and their
     classes, analysis, reduced_power and the sets of multiples are caches
     that fill on first use.
@@ -205,8 +196,8 @@ class FiniteMonoid:
         for x in range(n):
             if rows[0][x] != x or rows[x][0] != x:
                 raise NoIdentity(f"element 0 is not a two-sided identity (fails at {x})")
-        if not _associates_on(rows, _greedy_generators(rows)):
-            _raise_first_non_associative(rows)
+        if _first_non_associative(rows, _greedy_generators(rows)):
+            raise NotAssociative(*_first_non_associative(rows, range(n)))
         if names is None:
             names = ("1",) + tuple(f"x{i}" for i in range(1, n))
         else:

@@ -25,6 +25,18 @@ def associativity_triples(table):
     return bad
 
 
+def first_bad_triple(table):
+    """The lexicographically first (x, y, z) with (x*y)*z != x*(y*z), or None:
+    the triple scan, stopped at its first fault."""
+    n = len(table)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return x, y, z
+    return None
+
+
 def brute_small_monoids(n):
     """Every monoid table of order n with element 0 the identity: each of the
     n^(n*n) full tables in lexicographic order, kept iff row 0 and column 0

@@ -1,9 +1,10 @@
-"""The structure layer against the exhaustive scans it replaced: Light's
-associativity test names the same first bad triple as the full triple scan
-and agrees with the row-by-row map version on both of its kernels, the
-property battery gives the flags and witnesses of oracles.naive_battery,
-neither does more than its bound of table subscripts, and the corpus's
-backtracking search yields the tables of the full scan in its order."""
+"""The structure layer against the exhaustive scans it replaced: the
+associativity kernel agrees with the row-by-row map version of Light's test
+on both of its kernels and names the first bad triple of the full triple
+scan, the property battery gives the flags and witnesses of
+oracles.naive_battery, none of them does more than its bound of table
+subscripts, and the corpus's backtracking search yields the tables of the
+full scan in its order."""
 
 import random
 
@@ -16,7 +17,13 @@ from factorbench import core
 from factorbench.core import FiniteMonoid
 from factorbench.corpus import corpus_members, small_monoids
 from factorbench.errors import NotAssociative
-from oracles import associativity_triples, brute_small_monoids, naive_battery, row_map_light_test
+from oracles import (
+    associativity_triples,
+    brute_small_monoids,
+    first_bad_triple,
+    naive_battery,
+    row_map_light_test,
+)
 from test_random_monoids import INSTANCES, random_transformation_monoid
 
 
@@ -62,7 +69,8 @@ def assert_validation_matches_oracle(table):
     bad = associativity_triples(table)
     rows = tuple(map(tuple, table))
     gens = core._greedy_generators(rows)
-    assert core._associates_on(rows, gens) == (not bad) == row_map_light_test(rows, gens)
+    assert (core._first_non_associative(rows, gens) is None) == (not bad) == row_map_light_test(rows, gens)
+    assert core._first_non_associative(rows, range(len(rows))) == (bad[0] if bad else None)
     try:
         FiniteMonoid(table)
     except NotAssociative as exc:
@@ -163,10 +171,13 @@ class CountingRow(tuple):
 
 
 def test_no_triple_loop_on_a_group(monkeypatch):
-    def refuse(rows):
-        raise AssertionError("the triple scan ran on an associative table")
+    kernel = core._first_non_associative
 
-    monkeypatch.setattr(fb.core, "_raise_first_non_associative", refuse)
+    def generators_only(rows, middles):
+        assert list(middles) != list(range(len(rows))), "every element was a middle factor"
+        return kernel(rows, middles)
+
+    monkeypatch.setattr(fb.core, "_first_non_associative", generators_only)
     H = fb.gl(2, 3)
     n = H.size
     counter = [0]
@@ -196,7 +207,7 @@ def test_light_test_makes_each_row_in_one_step():
     gens = core._greedy_generators(table)
     counter = [0]
     rows = tuple(CountingRow(r, counter) for r in table)
-    assert core._associates_on(rows, gens)
+    assert core._first_non_associative(rows, gens) is None
     # one subscript per (x, a) for x*a; the map version makes n per row
     assert counter[0] <= 2 * n * len(gens) < n * n * len(gens)
     assert row_map_light_test(table, gens)
@@ -237,15 +248,39 @@ def test_light_kernels_agree_with_row_map_version(n):
         table = relabel(table, rng)
         gens = core._greedy_generators(table)
         rows = tuple(map(tuple, table))
-        assert core._associates_on(rows, gens) and row_map_light_test(rows, gens)
+        assert core._first_non_associative(rows, gens) is None and row_map_light_test(rows, gens)
         for _ in range(4):
             x, y = rng.randrange(1, n), rng.randrange(1, n)
             bad = mutated_group_table(table, x, y, rng.randrange(n))
             rows = tuple(map(tuple, bad))
             gens = core._greedy_generators(rows)
-            assert core._associates_on(rows, gens) == row_map_light_test(rows, gens)
+            assert (core._first_non_associative(rows, gens) is None) == row_map_light_test(rows, gens)
             some = rng.sample(range(n), 5)
-            assert core._associates_on(rows, some) == row_map_light_test(rows, some)
+            assert (core._first_non_associative(rows, some) is None) == row_map_light_test(rows, some)
+
+
+@pytest.mark.parametrize("n", [257, 300])
+def test_refusal_above_256_elements_names_the_first_bad_triple(n):
+    rng = random.Random(n)
+    table = mutated_group_table(cyclic_table(n), rng.randrange(1, n), rng.randrange(1, n), 0)
+    table = relabel(table, rng)
+    expected = first_bad_triple(table)
+    assert expected is not None
+    with pytest.raises(NotAssociative) as exc:
+        FiniteMonoid(table)
+    assert exc.value.triple == expected
+
+
+def test_locating_a_fault_is_quadratic():
+    # 256 elements, the bytes kernel; the first fault is (254, 254, 1):
+    # (254*254)*1 = 0*1 is the zero, but 254*(254*1) = 254*1 = 1
+    table = [list(row) for row in fb.null_monoid(254).table]
+    table[254][1] = 1
+    n = len(table)
+    counter = [0]
+    rows = tuple(CountingRow(r, counter) for r in table)
+    assert core._first_non_associative(rows, range(n)) == (254, 254, 1)
+    assert counter[0] <= 2 * n * n  # the triple scan takes about n^3 = 16777216
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
