@@ -273,7 +273,7 @@ def test_refusal_above_256_elements_names_the_first_bad_triple(n):
 
 def test_locating_a_fault_is_quadratic():
     # 256 elements, the bytes kernel; the first fault is (254, 254, 1):
-    # (254*254)*1 = 0*1 is the zero, but 254*(254*1) = 254*1 = 1
+    # (254*254)*1 = 255*1 = 255, the zero, but 254*(254*1) = 254*1 = 1
     table = [list(row) for row in fb.null_monoid(254).table]
     table[254][1] = 1
     n = len(table)
