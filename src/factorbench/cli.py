@@ -264,27 +264,18 @@ def _cmd_corpus(ns):
 
 
 def _render_text(data, indent=0) -> str:
-    lines = []
     pad = "  " * indent
     if isinstance(data, dict):
-        for key in sorted(data):
-            value = data[key]
-            if isinstance(value, (dict, list)) and value:
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_text(value, indent + 1))
-            elif isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}: {'{}' if isinstance(value, dict) else '[]'}")
-            else:
-                lines.append(f"{pad}{key}: {value}")
-    elif isinstance(data, list):
-        for value in data:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {value}")
+        pairs = [(f"{key}:", data[key]) for key in sorted(data)]
     else:
-        lines.append(f"{pad}{data}")
+        pairs = [("-", value) for value in data]
+    lines = []
+    for head, value in pairs:
+        if isinstance(value, (dict, list)) and value:
+            lines.append(pad + head)
+            lines.append(_render_text(value, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {value}")
     return "\n".join(lines)
 
 

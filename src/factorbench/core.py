@@ -325,78 +325,48 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
     """Decide the structural flags, recording the first counterexample
     (lexicographic by element indices) for each false flag.
 
-    acyclic, cancellative: a finite monoid is cancellative iff it is a
-    group (an injective row of a finite table is onto, so cancellation gives
-    inverses), and a group is acyclic, so when every element is a unit both
-    hold with no witness.  Otherwise some non-unit has an idempotent power e,
-    and (0, e, e) refutes both, so each first witness starts at the identity
-    0 and only that slice is scanned, in O(n^2).
-    unit_cancellative: an O(n^2) scan, skipped when every element is a unit
-    (its witness needs a non-unit).  normalizing: skipped in a group, where
-    aH = H = Ha; otherwise each row's set against its column's.
-    commutative: each row against its column, both taken whole at C speed,
-    then the first differing entry of the first differing row.
-    reduced, group: read off the unit group.
+    A finite monoid is acyclic, unit-cancellative and cancellative exactly
+    when every element is a unit: a group satisfies all three, and a
+    non-unit has an idempotent power e, where e*e == e refutes each.  So
+    those scans, and the normalizing one (aH = H = Ha in a group), run only
+    when the group witness exists.  Each first acyclic or cancellative
+    witness starts at the identity 0, so only that slice is scanned, in
+    O(n^2); unit_cancellative is an O(n^2) scan, normalizing compares each
+    row's set with its column's.  commutative: each row against its column,
+    both taken whole at C speed, then the first differing entry of the first
+    differing row.  reduced, group: read off the unit group.
     """
     n = H.size
     t = H.table
     un = H.units
     rng = range(n)
-    wit: dict[str, tuple[int, ...]] = {}
-
-    acyclic_wit = None if len(un) == n else next(
-        (0, x, v) for x in rng for v in rng if v not in un and t[x][v] == x
-    )
-    if acyclic_wit:
-        wit["acyclic"] = acyclic_wit
-
-    uc_wit = None if len(un) == n else next(
-        (
-            (x, y)
-            for x in rng
-            for y in rng
-            if y not in un and (t[x][y] == x or t[y][x] == x)
+    grp = next(((x,) for x in rng if x not in un), None)
+    wit = {} if grp is None else {
+        "acyclic": next((0, x, v) for x in rng for v in rng if v not in un and t[x][v] == x),
+        "unit_cancellative": next(
+            ((x, y) for x in rng for y in rng if y not in un and (t[x][y] == x or t[y][x] == x)),
+            None,
         ),
-        None,
-    )
-    if uc_wit:
-        wit["unit_cancellative"] = uc_wit
-
-    canc_wit = None if len(un) == n else next(
-        (0, y, z) for y in range(1, n) for z in rng if t[y][z] == z or t[z][y] == z
-    )
-    if canc_wit:
-        wit["cancellative"] = canc_wit
-
-    norm_wit = None if len(un) == n else next(
-        ((a,) for a in rng if set(t[a]) != set(map(itemgetter(a), t))), None
-    )
-    if norm_wit:
-        wit["normalizing"] = norm_wit
-
+        "cancellative": next(
+            (0, y, z) for y in range(1, n) for z in rng if t[y][z] == z or t[z][y] == z
+        ),
+        "normalizing": next(
+            ((a,) for a in rng if set(t[a]) != set(map(itemgetter(a), t))), None
+        ),
+    }
     x = next((x for x in rng if t[x] != tuple(map(itemgetter(x), t))), None)
-    comm_wit = None if x is None else next(
-        (x, y) for y in rng if t[x][y] != t[y][x]
-    )
-    if comm_wit:
-        wit["commutative"] = comm_wit
-
-    red_wit = next(((u,) for u in sorted(un) if u != 0), None)
-    if red_wit:
-        wit["reduced"] = red_wit
-
-    grp_wit = next(((x,) for x in rng if x not in un), None)
-    if grp_wit:
-        wit["group"] = grp_wit
-
+    wit["commutative"] = None if x is None else next((x, y) for y in rng if t[x][y] != t[y][x])
+    wit["reduced"] = next(((u,) for u in sorted(un) if u != 0), None)
+    wit["group"] = grp
+    wit = {flag: w for flag, w in wit.items() if w}
     return PropertyReport(
-        acyclic=acyclic_wit is None,
-        unit_cancellative=uc_wit is None,
-        cancellative=canc_wit is None,
-        normalizing=norm_wit is None,
-        commutative=comm_wit is None,
-        reduced=red_wit is None,
-        group=grp_wit is None,
+        acyclic="acyclic" not in wit,
+        unit_cancellative="unit_cancellative" not in wit,
+        cancellative="cancellative" not in wit,
+        normalizing="normalizing" not in wit,
+        commutative="commutative" not in wit,
+        reduced="reduced" not in wit,
+        group="group" not in wit,
         witnesses=wit,
     )
 
@@ -558,22 +528,21 @@ def load_cayley(path) -> FiniteMonoid:
 
 def json_text(obj) -> str:
     """The text the standard library's json encoder gives obj with sorted
-    keys and an indent of 2, byte for byte.
+    keys and an indent of 2, byte for byte, on what reports and Cayley files
+    hold: dicts with str keys, lists, tuples, str, int, bool and None.
+    Anything else, a float or a non-str key included, raises TypeError.
 
     With an indent, the stdlib runs its pure-Python encoder; this builds each
     container with one str.join, encodes strings in C and joins lists of
-    plain ints or strs without a call per item.  Keys are sorted before they
-    are converted, as json sorts them, and anything json cannot encode
-    raises TypeError.  Containers are not checked for cycles."""
-    prefixes: dict = {}  # holds str keys only, so no other key can match one
+    plain ints or strs without a call per item.  Containers are not checked
+    for cycles."""
+    prefixes: dict[str, str] = {}  # holds str keys only, so no other key can match one
 
     def prefix(k) -> str:
         if isinstance(k, str):
             text = prefixes[k] = _jstr(k) + ": "
             return text
-        if k is None or isinstance(k, (int, float)):
-            return '"' + value(k, "") + '": '
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+        raise TypeError(f"keys must be str, not {k.__class__.__name__}")
 
     def value(o, nl: str) -> str:
         if isinstance(o, str):
@@ -586,12 +555,6 @@ def json_text(obj) -> str:
             return "false"
         if isinstance(o, int):
             return int.__repr__(o)
-        if isinstance(o, float):
-            if o != o:
-                return "NaN"
-            if o in (math.inf, -math.inf):
-                return "Infinity" if o > 0 else "-Infinity"
-            return float.__repr__(o)
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"

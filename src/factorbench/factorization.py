@@ -342,7 +342,9 @@ def integer_class_table(limit: int) -> int | None:
         while lo <= limit:  # block [lo, 2*lo) reads only n // P < lo
             hi = min(2 * lo, limit + 1)
             top = largest[lo:hi]
-            word[lo:hi] = map(add, map(word.__getitem__, map(floordiv, range(lo, hi), top)), zip(top))
+            word[lo:hi] = map(
+                add, map(word.__getitem__, map(floordiv, range(lo, hi), top)), zip(top)
+            )
             lo = hi
         least = None
         for p in primes:  # candidates for n = p*j with largest[j] > p, one pass each

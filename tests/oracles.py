@@ -900,3 +900,32 @@ def stdlib_json_text(obj):
     library's encoder with sorted keys and an indent of 2 (with an indent it
     runs the pure-Python encoder)."""
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def nested_text(data, indent=0):
+    """The `--format text` rendering a report must match: sorted `key:` lines
+    for a dict, `-` lines for a list, nested containers indented by two
+    spaces.  It writes a bare `-` and a blank line for an empty container
+    inside a list, which no report holds."""
+    lines = []
+    pad = "  " * indent
+    if isinstance(data, dict):
+        for key in sorted(data):
+            value = data[key]
+            if isinstance(value, (dict, list)) and value:
+                lines.append(f"{pad}{key}:")
+                lines.append(nested_text(value, indent + 1))
+            elif isinstance(value, (dict, list)):
+                lines.append(f"{pad}{key}: {'{}' if isinstance(value, dict) else '[]'}")
+            else:
+                lines.append(f"{pad}{key}: {value}")
+    elif isinstance(data, list):
+        for value in data:
+            if isinstance(value, (dict, list)):
+                lines.append(f"{pad}-")
+                lines.append(nested_text(value, indent + 1))
+            else:
+                lines.append(f"{pad}- {value}")
+    else:
+        lines.append(f"{pad}{data}")
+    return "\n".join(lines)

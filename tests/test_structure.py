@@ -153,6 +153,7 @@ def test_battery_matches_naive_scans(sample_corpus):
         rep = fb.property_battery(H)
         expected = naive_battery(H.table)
         assert rep.witnesses == expected, name
+        assert list(rep.witnesses.items()) == list(expected.items()), name  # repr shows the order
         for flag in FLAGS:
             assert getattr(rep, flag) == (flag not in expected), (name, flag)
 

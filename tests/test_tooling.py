@@ -4,8 +4,8 @@ README run, the README lists exactly the flags each command declares, the
 error types match what the benchmark reads and what the code raises,
 the benchmark's span metrics name functions and classes that exist,
 every public definition and private function in src/ is used outside
-itself, and every public member of a class in src/ is read in src/ or
-scripts/."""
+itself, every public member of a class in src/ is read in src/ or
+scripts/, and no line in src/ is wider than 100 characters."""
 
 import argparse
 import ast
@@ -276,3 +276,15 @@ def test_package_main_prints_the_version():
     # `python -m factorbench` runs __main__.py, which no in-process test reaches
     proc = _run_python("-m", "factorbench", "--version")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0.1.0\n", "")
+
+
+def test_no_src_line_is_wider_than_100_characters():
+    # the size of src/ is tracked in lines, so joining lines must not pass
+    # for a reduction
+    wide = [
+        f"{path.name}:{number}"
+        for path in sorted((ROOT / "src" / "factorbench").glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert not wide
