@@ -328,12 +328,12 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
     A finite monoid is acyclic, unit-cancellative and cancellative exactly
     when every element is a unit: a group satisfies all three, and a
     non-unit has an idempotent power e, where e*e == e refutes each.  So
-    those scans, and the normalizing one (aH = H = Ha in a group), run only
-    when the group witness exists.  Each first acyclic or cancellative
-    witness starts at the identity 0, so only that slice is scanned, in
-    O(n^2); unit_cancellative is an O(n^2) scan, normalizing compares each
-    row's set with its column's.  commutative: each row against its column,
-    both taken whole at C speed, then the first differing entry of the first
+    those scans, and normalizing (aH = H = Ha in a group), run only when the
+    group witness exists; (0, e, e) refutes acyclic and cancellative, so
+    their first witnesses start at 0 and only that slice is scanned, in
+    O(n^2).  unit_cancellative: an O(n^2) scan; normalizing: each row's set
+    against its column's.  commutative: each row against its column, both
+    taken whole at C speed, then the first differing entry of the first
     differing row.  reduced, group: read off the unit group.
     """
     n = H.size
