@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from json.encoder import encode_basestring_ascii as _jstr
 from operator import itemgetter, mul
@@ -132,11 +132,6 @@ _INT = frozenset({int})
 _STR = frozenset({str})
 
 
-@lru_cache(maxsize=64)
-def _entries(n: int) -> frozenset[int]:
-    return frozenset(range(n))
-
-
 def _check_row(x: int, row, n: int) -> None:
     """Raise IndexOutOfRange at row x's first fault, if it has one: a wrong
     length, or an entry that is not an int (bools refused) in [0, n).  Run
@@ -189,7 +184,7 @@ class FiniteMonoid:
         n = len(rows)
         if n < 1:
             raise NoIdentity("a monoid needs at least the identity element")
-        valid = _entries(n)
+        valid = frozenset(range(n))
         for x, row in enumerate(rows):
             if not (len(row) == n and _INT.issuperset(map(type, row)) and valid.issuperset(row)):
                 _check_row(x, row, n)
@@ -329,12 +324,12 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
     when every element is a unit: a group satisfies all three, and a
     non-unit has an idempotent power e, where e*e == e refutes each.  So
     those scans, and normalizing (aH = H = Ha in a group), run only when the
-    group witness exists; (0, e, e) refutes acyclic and cancellative, so
-    their first witnesses start at 0 and only that slice is scanned, in
-    O(n^2).  unit_cancellative: an O(n^2) scan; normalizing: each row's set
-    against its column's.  commutative: each row against its column, both
-    taken whole at C speed, then the first differing entry of the first
-    differing row.  reduced, group: read off the unit group.
+    group witness exists, and each of the three always finds a witness:
+    (0, e, e) for acyclic and cancellative, so only the slice at 0 is
+    scanned, and (e, e) for unit_cancellative, each in O(n^2).  normalizing:
+    each row's set against its column's.  commutative: each row against its
+    column, both taken whole at C speed, then the first differing entry of
+    the first differing row.  reduced, group: read off the unit group.
     """
     n = H.size
     t = H.table
@@ -344,8 +339,7 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
     wit = {} if grp is None else {
         "acyclic": next((0, x, v) for x in rng for v in rng if v not in un and t[x][v] == x),
         "unit_cancellative": next(
-            ((x, y) for x in rng for y in rng if y not in un and (t[x][y] == x or t[y][x] == x)),
-            None,
+            (x, y) for x in rng for y in rng if y not in un and (t[x][y] == x or t[y][x] == x)
         ),
         "cancellative": next(
             (0, y, z) for y in range(1, n) for z in rng if t[y][z] == z or t[z][y] == z
@@ -506,19 +500,15 @@ def gl(n: int, m: int) -> FiniteMonoid:
 # -- Cayley table files ---------------------------------------------------
 
 
-def monoid_from_dict(data: dict) -> FiniteMonoid:
-    if not isinstance(data, dict) or "table" not in data:
-        raise ValueError("expected an object with a 'table' key")
-    return FiniteMonoid(data["table"], data.get("names"))
-
-
 def parse_cayley(raw: bytes) -> FiniteMonoid:
     """The monoid of a Cayley file's bytes (UTF-8 JSON)."""
     try:
         data = json.loads(raw.decode("utf-8"))
     except RecursionError:
         raise ValueError("the Cayley file nests too deeply") from None
-    return monoid_from_dict(data)
+    if not isinstance(data, dict) or "table" not in data:
+        raise ValueError("expected an object with a 'table' key")
+    return FiniteMonoid(data["table"], data.get("names"))
 
 
 def load_cayley(path) -> FiniteMonoid:

@@ -12,7 +12,6 @@ from .core import (
     direct_product,
     gl,
     null_monoid,
-    property_battery,
     two_element_with_zero,
 )
 from .errors import CapExceeded
@@ -119,19 +118,13 @@ def scan_member(name: str, H: FiniteMonoid) -> list[str]:
     """Check the structural invariants one corpus member must satisfy;
     returns human-readable violation strings (empty = clean)."""
     violations = []
-    rep = property_battery(H)
     flags = classify_arithmetic(H)
-
-    if rep.acyclic != rep.group:
-        violations.append(f"{name}: acyclic={rep.acyclic} but group={rep.group}")
     if flags.bf != flags.ff:
         violations.append(f"{name}: bf={flags.bf} but ff={flags.ff}")
-    if rep.acyclic and not rep.unit_cancellative:
-        violations.append(f"{name}: acyclic but not unit-cancellative")
-    if rep.acyclic:
+    if len(H.units) == H.size:
         idempotents = tuple(x for x, row in enumerate(H.table) if x and row[x] == x)
         if idempotents:
-            violations.append(f"{name}: acyclic with non-trivial idempotents {idempotents}")
+            violations.append(f"{name}: group with non-trivial idempotents {idempotents}")
     lsets = H.analysis.length_sets
     lengths = [(x, lx) for x in H.elements() if (lx := lsets[x].up_to(SUBADDITIVITY_HORIZON))]
     for x, lx in lengths:

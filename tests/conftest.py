@@ -1,7 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import factorbench as fb
 from factorbench.power import build_reduced_power_monoid
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, **env):
+    """Run the interpreter on args, with this checkout's src/ first on
+    PYTHONPATH and env's variables added, so that a subprocess imports the
+    package under test whether or not it is installed."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        timeout=300,
+    )
 
 
 @pytest.fixture(scope="session")

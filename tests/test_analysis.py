@@ -227,25 +227,19 @@ def test_scan_member_names_the_first_gap_of_each_pair():
 
 
 @pytest.mark.parametrize(
-    "name, battery, arithmetic, violation",
+    "arithmetic, group, violation",
     [
-        ("N3", {"acyclic": False, "group": True}, {}, "N3: acyclic=False but group=True"),
-        ("N3", {}, {"bf": True, "ff": False}, "N3: bf=True but ff=False"),
-        ("C3", {"unit_cancellative": False}, {}, "C3: acyclic but not unit-cancellative"),
-        (
-            "N3",
-            {"acyclic": True, "group": True, "unit_cancellative": True},
-            {},
-            "N3: acyclic with non-trivial idempotents (2,)",
-        ),
+        ({"bf": True, "ff": False}, False, "N3: bf=True but ff=False"),
+        ({}, True, "N3: group with non-trivial idempotents (2,)"),
     ],
-    ids=["acyclic-group", "bf-ff", "unit-cancellative", "idempotents"],
+    ids=["bf-ff", "idempotents"],
 )
-def test_scan_member_names_each_contradicted_flag(monkeypatch, name, battery, arithmetic, violation):
-    # N3 is neither acyclic nor BF, C3 is an acyclic group; each stub
-    # contradicts one of the finite-case facts the scan checks
-    H = {"N3": fb.null_monoid(1), "C3": fb.cyclic(3)}[name]
-    rep, flags = fb.property_battery(H), fb.classify_arithmetic(H)
-    monkeypatch.setattr(corpus, "property_battery", lambda _: replace(rep, **battery))
+def test_scan_member_names_each_contradicted_flag(monkeypatch, arithmetic, group, violation):
+    # N3 = {1, a, 0} is neither BF nor a group, and its zero is a non-trivial
+    # idempotent; each stub contradicts one finite-case fact the scan checks
+    H = fb.null_monoid(1)
+    flags = fb.classify_arithmetic(H)
     monkeypatch.setattr(corpus, "classify_arithmetic", lambda _: replace(flags, **arithmetic))
-    assert scan_member(name, H) == [violation]
+    if group:
+        monkeypatch.setattr(H, "units", frozenset(H.elements()))
+    assert scan_member("N3", H) == [violation]

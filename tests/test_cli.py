@@ -4,8 +4,6 @@ import hashlib
 import io
 import json
 import os
-import subprocess
-import sys
 import tempfile
 from dataclasses import fields
 
@@ -17,6 +15,7 @@ import factorbench as fb
 from factorbench import cli, corpus, factorization, presentations
 from factorbench.cli import main
 from factorbench.presentations import EMPTY_LITERAL
+from conftest import run_python
 from oracles import class_count_vector
 
 
@@ -287,13 +286,8 @@ def test_reports_identical_across_processes(tmp_path, n3):
     fb.save_cayley(n3, path)
     outputs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        proc = subprocess.run(
-            [sys.executable, "-m", "factorbench.cli", "analyze", "--in", str(path)],
-            capture_output=True,
-            env=env,
-            check=True,
-        )
+        proc = run_python("-m", "factorbench.cli", "analyze", "--in", str(path), PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
 
@@ -314,10 +308,9 @@ def test_usage_errors_leave_the_shared_parser_as_built(tmp_path, capsys):
     capsys.readouterr()
     out = tmp_path / "report.json"
     assert main([*argv, "--out", str(out)]) == 0
-    fresh = subprocess.run(
-        [sys.executable, "-m", "factorbench.cli", *argv], capture_output=True, check=True
-    )
-    assert out.read_bytes() == fresh.stdout
+    fresh = run_python("-m", "factorbench.cli", *argv)
+    assert fresh.returncode == 0, fresh.stderr
+    assert out.read_bytes() == fresh.stdout.encode()
 
 
 def test_deep_factorize_stops_at_the_word_cap(tmp_path):
@@ -325,13 +318,8 @@ def test_deep_factorize_stops_at_the_word_cap(tmp_path):
     # end in the typed word-cap error, not in a RecursionError traceback
     path = tmp_path / "n3xc2.json"
     fb.save_cayley(fb.direct_product(fb.null_monoid(1), fb.cyclic(2)), path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "factorbench.cli", "factorize", "(0,1)",
-         "--in", str(path), "--max-len", "3000"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-m", "factorbench.cli", "factorize", "(0,1)", "--in", str(path),
+                      "--max-len", "3000")
     assert proc.returncode == 1
     assert "more than 1000000 prefixes examined" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -510,11 +498,14 @@ N3_TABLE = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
         (json.dumps({"table": N3_TABLE, "names": ["1", "a", ""]}), "name 2 is '', not a letter of a word literal"),
         (json.dumps({"table": N3_TABLE, "names": ["1", "a*b", "0"]}), "name 1 is 'a*b', not a letter of a word literal"),
         (json.dumps({"table": N3_TABLE, "names": [" 1", "a", "0"]}), "name 0 is ' 1', not a letter of a word literal"),
+        ("[]", "expected an object with a 'table' key"),
+        ('{"names": ["1"]}', "expected an object with a 'table' key"),
     ],
     ids=[
         "table-int", "row-int", "names-int", "deep-nesting",
         "names-ints", "names-str", "names-object", "names-scalars",
         "name-e", "name-empty", "name-star", "name-padded",
+        "array", "no-table",
     ],
 )
 def test_malformed_cayley_file_exits_one(tmp_path, capsys, text, message):

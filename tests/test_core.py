@@ -5,7 +5,7 @@ from enum import IntEnum
 import pytest
 
 import factorbench as fb
-from factorbench.core import FiniteMonoid, dump_cayley, monoid_from_dict
+from factorbench.core import FiniteMonoid, dump_cayley, parse_cayley
 from factorbench.corpus import corpus_members
 from factorbench.errors import CapExceeded, IndexOutOfRange, NoIdentity, NotAssociative
 from oracles import (
@@ -496,4 +496,4 @@ def test_cayley_json_roundtrip(tmp_path, n3):
     assert loaded.table == n3.table and loaded.names == n3.names
     # loader validates
     with pytest.raises(NoIdentity):
-        monoid_from_dict({"names": ["1", "x"], "table": [[1, 0], [0, 1]]})
+        parse_cayley(b'{"names": ["1", "x"], "table": [[1, 0], [0, 1]]}')

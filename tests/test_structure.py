@@ -138,7 +138,7 @@ FLAGS = (
 
 def _battery_monoids(sample_corpus):
     rng = random.Random(7)
-    monoids = sample_corpus + corpus_members(3)
+    monoids = sample_corpus + corpus_members(4)
     monoids += [(f"seed{seed}", H) for seed, H in INSTANCES]
     for a, b in [(2, 6), (4, 6), (6, 8)]:
         table = relabel(product_table(cyclic_table(a), cyclic_table(b)), rng)

@@ -10,12 +10,8 @@ scripts/, and no line in src/ is wider than 100 characters."""
 import argparse
 import ast
 import json
-import os
 import re
 import shlex
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -23,8 +19,7 @@ import factorbench as fb
 from factorbench import factorization
 from factorbench.cli import build_parser, main
 from factorbench.errors import CapExceeded
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, run_python
 
 
 def test_oracles_import_no_factorbench_module():
@@ -257,24 +252,13 @@ def _declared_flags(parser, prefix=""):
     return declared
 
 
-def _run_python(*args):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=300,
-    )
-
-
 def _run_script(script, *args):
-    return _run_python(str(ROOT / "scripts" / script), *args)
+    return run_python(str(ROOT / "scripts" / script), *args)
 
 
 def test_package_main_prints_the_version():
     # `python -m factorbench` runs __main__.py, which no in-process test reaches
-    proc = _run_python("-m", "factorbench", "--version")
+    proc = run_python("-m", "factorbench", "--version")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0.1.0\n", "")
 
 
