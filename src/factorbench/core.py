@@ -328,8 +328,11 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
     (0, e, e) for acyclic and cancellative, so only the slice at 0 is
     scanned, and (e, e) for unit_cancellative, each in O(n^2).  normalizing:
     each row's set against its column's.  commutative: each row against its
-    column, both taken whole at C speed, then the first differing entry of
-    the first differing row.  reduced, group: read off the unit group.
+    column, then the first differing entry of the first differing row.  Both
+    scans pair each row with its column through zip(t, zip(*t)), which makes
+    one column at a time at C speed, so each stops at its first witness
+    without building the whole transpose.  reduced, group: read off the
+    unit group.
     """
     n = H.size
     t = H.table
@@ -345,10 +348,10 @@ def property_battery(H: FiniteMonoid) -> PropertyReport:
             (0, y, z) for y in range(1, n) for z in rng if t[y][z] == z or t[z][y] == z
         ),
         "normalizing": next(
-            ((a,) for a in rng if set(t[a]) != set(map(itemgetter(a), t))), None
+            ((a,) for a, (row, col) in enumerate(zip(t, zip(*t))) if set(row) != set(col)), None
         ),
     }
-    x = next((x for x in rng if t[x] != tuple(map(itemgetter(x), t))), None)
+    x = next((x for x, (row, col) in enumerate(zip(t, zip(*t))) if row != col), None)
     wit["commutative"] = None if x is None else next((x, y) for y in rng if t[x][y] != t[y][x])
     wit["reduced"] = next(((u,) for u in sorted(un) if u != 0), None)
     wit["group"] = grp
@@ -534,7 +537,36 @@ def json_text(obj) -> str:
             return text
         raise TypeError(f"keys must be str, not {k.__class__.__name__}")
 
+    def sequence(o, nl: str) -> str:
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        if _INT.issuperset(map(type, o)):
+            items = map(int.__repr__, o)
+        elif _STR.issuperset(map(type, o)):
+            items = map(_jstr, o)
+        else:
+            items = [value(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+    def mapping(o, nl: str) -> str:
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        get = prefixes.get
+        items = [(get(k) or prefix(k)) + value(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+
     def value(o, nl: str) -> str:
+        kind = type(o)  # the exact types first; subclasses and singletons take the chain
+        if kind is str:
+            return _jstr(o)
+        if kind is int:
+            return int.__repr__(o)
+        if kind is dict:
+            return mapping(o, nl)
+        if kind is list or kind is tuple:
+            return sequence(o, nl)
         if isinstance(o, str):
             return _jstr(o)
         if o is None:
@@ -546,23 +578,9 @@ def json_text(obj) -> str:
         if isinstance(o, int):
             return int.__repr__(o)
         if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            inner = nl + "  "
-            if _INT.issuperset(map(type, o)):
-                items = map(int.__repr__, o)
-            elif _STR.issuperset(map(type, o)):
-                items = map(_jstr, o)
-            else:
-                items = [value(v, inner) for v in o]
-            return "[" + inner + ("," + inner).join(items) + nl + "]"
+            return sequence(o, nl)
         if isinstance(o, dict):
-            if not o:
-                return "{}"
-            inner = nl + "  "
-            get = prefixes.get
-            items = [(get(k) or prefix(k)) + value(o[k], inner) for k in sorted(o)]
-            return "{" + inner + ("," + inner).join(items) + nl + "}"
+            return mapping(o, nl)
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
     return value(obj, "\n")

@@ -483,7 +483,10 @@ class AtomAnalysis:
         Iterates the layer sets S_k (elements reachable from the identity in
         exactly k atom steps) once; the sequence of layers over a finite
         carrier must repeat, which pins down the preperiod and period of
-        membership of every element.
+        membership of every element.  One pass over the layers sets bit k of
+        an element's mask when the element lies in S_k; a LengthSet is built
+        once per distinct mask, and elements with one mask share that frozen
+        object.
         """
         layers: list[frozenset] = []
         seen: dict[frozenset, int] = {}
@@ -496,12 +499,18 @@ class AtomAnalysis:
             cur = frozenset(t for s in cur for t in self.succ[s])
         first = seen[cur]
         p = len(layers) - first
-        lsets = {}
-        for x in self.H.elements():
-            finite = [k for k in range(first) if x in layers[k]]
-            residues = {k % p for k in range(first, len(layers)) if x in layers[k]}
-            lsets[x] = LengthSet.build(finite, first, p, residues)
-        return lsets
+        masks = [0] * self.H.size
+        for k, layer in enumerate(layers):
+            bit = 1 << k
+            for x in layer:
+                masks[x] |= bit
+        by_mask = {}
+        for mask in dict.fromkeys(masks):
+            # bit k of the mask, read from its binary digits; the "0b" prefix has no "1"
+            ks =[k for k, b in enumerate(reversed(bin(mask))) if b == "1"]
+            residues = {k % p for k in ks if k >= first}
+            by_mask[mask] = LengthSet.build([k for k in ks if k < first], first, p, residues)
+        return {x: by_mask[mask] for x, mask in enumerate(masks)}
 
     def reaches_cycle(self) -> bool:
         """Whether a directed cycle, a loop included, is reachable from the

@@ -347,6 +347,28 @@ def brute_lengths(H, x, horizon):
     return found
 
 
+def per_element_length_sets(table, atoms):
+    """Each element's length set as raw (finite, threshold, period, residues),
+    one membership loop per element.  The layer sets S_k, the elements
+    reachable from the identity in exactly k atom steps, repeat from some
+    S_first on with period p; x's lengths below first are the k with x in S_k,
+    and from first on the residues mod p of those k."""
+    layers, seen = [], {}
+    cur = frozenset({0})
+    while cur not in seen:
+        seen[cur] = len(layers)
+        layers.append(cur)
+        cur = frozenset(table[s][a] for s in cur for a in atoms)
+    first = seen[cur]
+    p = len(layers) - first
+    out = []
+    for x in range(len(table)):
+        finite = [k for k in range(first) if x in layers[k]]
+        residues = {k % p for k in range(first, len(layers)) if x in layers[k]}
+        out.append((finite, first, p, residues))
+    return out
+
+
 def class_count_vector(atom_class_of, n_classes, word):
     """Letter counts of an atom word per associate class of atoms."""
     counts = [0] * n_classes

@@ -30,11 +30,12 @@ from oracles import (
     integer_class_sets,
     integer_prime_scan,
     is_minimal_word,
+    per_element_length_sets,
     restrict_table,
     smallest_prime_factorization,
     word_catalog,
 )
-from test_random_monoids import INSTANCES
+from test_random_monoids import INSTANCES, random_transformation_monoid
 from test_structure import monogenic_table
 
 
@@ -140,6 +141,39 @@ def test_length_sets_match_brute_walks(sample_corpus):
         for x in H.elements():
             expected = brute_lengths(H, x, horizon)
             assert set(fb.length_set(H, x).up_to(horizon)) == expected, name
+
+
+def _length_set_monoids():
+    yield from corpus_members(4)
+    yield "C12xC12", fb.direct_product(fb.cyclic(12), fb.cyclic(12))
+    yield "gl(2,3)xC2", fb.direct_product(fb.gl(2, 3), fb.cyclic(2))
+    yield "transformation212", FiniteMonoid(random_transformation_monoid(23, points=5).table)
+    for k in (6, 8):
+        yield f"P(C{k})", build_reduced_power_monoid(fb.cyclic(k))
+    yield "null22", fb.null_monoid(22)
+
+
+def test_length_sets_match_the_per_element_walk():
+    for name, H in _length_set_monoids():
+        lsets = H.analysis.length_sets
+        raw = per_element_length_sets(H.table, H.atoms)
+        assert list(lsets) == list(H.elements()), name
+        assert lsets == {x: LengthSet.build(*data) for x, data in enumerate(raw)}, name
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_length_sets_build_once_per_distinct_set(k, monkeypatch):
+    built = []
+    build = LengthSet.build.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(LengthSet, "build", classmethod(counting))
+    H = build_reduced_power_monoid(fb.cyclic(k))
+    values = H.analysis.length_sets.values()
+    assert len(built) == len(set(values)) == len({id(ls) for ls in values}) < H.size
 
 
 def test_length_sets_of_monogenic_monoids():

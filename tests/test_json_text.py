@@ -1,12 +1,14 @@
 """The report writers against independent renderings.  `json_text` against
 the standard library's `json.dumps(obj, sort_keys=True, indent=2)` (the
 oracle in oracles.py): the same text on nested report values and on the
-report of every golden command, the same TypeError on what json cannot
-encode, and a TypeError on the floats and non-str keys that json encodes but
-no report holds.  The `--format text` renderer against `nested_text`, the
+report of every golden command, and on dict, list and str subclasses,
+IntEnums and bools; the same TypeError on what json cannot encode, and a
+TypeError on the floats and non-str keys that json encodes but no report
+holds.  The `--format text` renderer against `nested_text`, the
 renderer it replaced, on the report of every golden command."""
 
 import math
+from collections import OrderedDict
 from enum import IntEnum
 
 import pytest
@@ -99,6 +101,30 @@ def test_golden_text_reports_match_the_oracle(tmp_path, capsys, monkeypatch):
     data = {"a": [[], {}]}
     assert render(data) == "a:\n  - []\n  - {}"
     assert nested_text(data) == "a:\n  -\n\n  -\n"
+
+
+class Name(str):
+    pass
+
+
+class Row(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        OrderedDict([("b", [1, 2]), ("a", {"c": None})]),
+        {"rows": Row([1, "a", Row([2])])},
+        {Name("key"): Name("value"), "names": [Name("x"), "y"]},
+        {"level": Level.HIGH, "levels": [1, Level.LOW, 2]},
+        [True, 1, 0],
+    ],
+    ids=["ordered-dict", "list-subclass", "str-subclass", "intenum", "bools-and-ints"],
+)
+def test_subclasses_and_bools_match_the_stdlib(obj):
+    # Exact types take the writer's first branches; these take its fallback.
+    assert json_text(obj) == stdlib_json_text(obj)
 
 
 @pytest.mark.parametrize(

@@ -158,6 +158,32 @@ def test_battery_matches_naive_scans(sample_corpus):
             assert getattr(rep, flag) == (flag not in expected), (name, flag)
 
 
+@pytest.mark.parametrize(
+    "build, full_scans",
+    [
+        (lambda: product_table(cyclic_table(6), cyclic_table(8)), {"commutative"}),
+        (lambda: fb.gl(2, 3).table, set()),
+        (lambda: random_transformation_monoid(32, points=4).table, set()),
+        (
+            lambda: fb.direct_product(fb.cyclic(8), fb.null_monoid(4)).table,
+            {"normalizing", "commutative"},
+        ),
+    ],
+    ids=["C6xC8", "gl(2,3)", "transformation67", "C8xN4"],
+)
+def test_battery_matches_naive_scans_on_long_column_scans(build, full_scans):
+    # The column scans stop at their first witness; on these tables the ones
+    # in full_scans find none and run to the last row.
+    H = FiniteMonoid(relabel(build(), random.Random(13)))
+    assert H.size >= 40
+    rep = fb.property_battery(H)
+    expected = naive_battery(H.table)
+    assert list(rep.witnesses.items()) == list(expected.items())
+    assert not full_scans & expected.keys()
+    if "normalizing" in full_scans:
+        assert "group" in expected  # the normalizing scan runs only on a non-group
+
+
 class CountingRow(tuple):
     """A table row that counts its subscripts in a shared counter."""
 

@@ -1,10 +1,10 @@
-"""Repository checks: the oracles stay independent of the package, the
-scripts run end to end, every command line and the library tour in the
-README run, the README lists exactly the flags each command declares, the
-error types match what the benchmark reads and what the code raises,
-the benchmark's span metrics name functions and classes that exist,
-every public definition and private function in src/ is used outside
-itself, every public member of a class in src/ is read in src/ or
+"""Repository checks: the oracles stay independent of the package and each
+is named in a test, the scripts run end to end, every command line and the
+library tour in the README run, the README lists exactly the flags each
+command declares, the error types match what the benchmark reads and what
+the code raises, the benchmark's span metrics name functions and classes
+that exist, every public definition and private function in src/ is used
+outside itself, every public member of a class in src/ is read in src/ or
 scripts/, and no line in src/ is wider than 100 characters."""
 
 import argparse
@@ -31,6 +31,20 @@ def test_oracles_import_no_factorbench_module():
         elif isinstance(node, ast.ImportFrom):
             modules.add(node.module or "")
     assert not {m for m in modules if m.split(".")[0] == "factorbench"}
+
+
+def test_every_public_oracle_is_named_in_a_test():
+    # an oracle that no test names checks nothing
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    oracles = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    tests = [*(ROOT / "tests").glob("test_*.py"), ROOT / "tests" / "conftest.py"]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in tests)
+    assert len(oracles) > 40
+    assert not [name for name in oracles if not re.search(rf"\b{name}\b", text)]
 
 
 @pytest.mark.parametrize(
