@@ -11,7 +11,6 @@ import argparse
 import functools
 import hashlib
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .core import (
@@ -113,9 +112,9 @@ def _monoid_payload(H: FiniteMonoid) -> dict:
     }
     return {
         "size": H.size,
-        "properties": {**vars(rep), "witnesses": witness_names},
-        "classifiers": dict(vars(classify_arithmetic(H))),
-        "factoriality": dict(vars(factorial_battery(H))),
+        "properties": {**rep._asdict(), "witnesses": witness_names},
+        "classifiers": classify_arithmetic(H)._asdict(),
+        "factoriality": factorial_battery(H)._asdict(),
         "atoms": [H.names[a] for a in H.atoms],
         "units": [H.names[u] for u in sorted(H.units)],
         "kappa": kappa,
@@ -216,7 +215,7 @@ def _cmd_present(ns):
         )
     else:  # verify
         rep = verify_ladder_properties(ns.samples, ns.max_len, ns.seed)
-        payload.update(asdict(rep), ok=rep.ok)
+        payload.update(rep._asdict(), ok=rep.ok)
         return (0 if rep.ok else 2), digest, payload
     return 0, digest, payload
 

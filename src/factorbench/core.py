@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from json.encoder import encode_basestring_ascii as _jstr
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .errors import CapExceeded, IndexOutOfRange, NoIdentity, NotAssociative
 from .factorization import AtomAnalysis
@@ -35,8 +35,7 @@ def _check_order(order: int, what: str) -> None:
         raise CapExceeded(f"{what} has order {order}, above the cap {ORDER_CAP}")
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Structural flags of a finite monoid, with a counterexample per false flag.
 
     Witnesses are tuples of element ids found in lexicographic scan order:

@@ -20,12 +20,12 @@ word.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
 from itertools import compress, groupby, repeat
 from math import gcd, isqrt
 from operator import add, floordiv, gt, length_hint, ne
+from typing import NamedTuple
 
 from .errors import AlphabetMismatch, CapExceeded, CrossCheckMismatch
 
@@ -152,8 +152,7 @@ def enumerate_factorizations(S, x, max_len: int) -> list[tuple]:
 # -- length sets -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LengthSet:
+class LengthSet(NamedTuple):
     """An exact, eventually periodic subset of the naturals.
 
     Represents finite_part | {n >= threshold : n % period in residues}; the
@@ -228,8 +227,7 @@ def length_set(H, x) -> LengthSet:
 # -- classifier battery ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArithmeticFlags:
+class ArithmeticFlags(NamedTuple):
     """atomic / bounded lengths (BF) / finitely many classes (FF) /
     half-factorial (HF)."""
 
@@ -247,8 +245,7 @@ def classify_arithmetic(H) -> ArithmeticFlags:
 # -- minimal catalog and kappa ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimalCatalog:
+class MinimalCatalog(NamedTuple):
     """All minimal factorization classes of every element, each kept as its
     representative word, whose letters counted per atom class give the
     class-count vector; kappa is the largest representative length."""
@@ -368,8 +365,7 @@ def integer_class_table(limit: int) -> int | None:
 # -- factoriality battery -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorialFlags:
+class FactorialFlags(NamedTuple):
     """Unique-factorization flags, decided with built-in cross-checks.
 
     factorial: one congruence class per non-unit, decided twice: atomic with

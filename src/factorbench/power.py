@@ -4,8 +4,8 @@ bound read off the base monoid."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import or_
+from typing import NamedTuple
 
 from .core import FiniteMonoid, _check_order
 from .errors import CrossCheckMismatch
@@ -61,8 +61,7 @@ def atomicity_criterion(K: FiniteMonoid) -> bool:
     return syntactic
 
 
-@dataclass(frozen=True)
-class KappaReport:
+class KappaReport(NamedTuple):
     kappa: int
     bound: int
     attains_bound: bool

@@ -19,13 +19,12 @@ rewriting-based searches.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import gcd, lcm
 from random import Random
+from typing import NamedTuple
 
 from .errors import AlphabetMismatch, EmptyRelationSide, ParseError
 
@@ -67,22 +66,31 @@ def format_word_text(symbols) -> str:
     return "*".join(symbols) if symbols else EMPTY_LITERAL
 
 
-@dataclass(frozen=True)
 class Presentation:
-    generators: tuple[str, ...]
-    relations: tuple[tuple[GenWord, GenWord], ...]
-    family: str = ""
-    family_param: int = 0
+    """Generators and relations, equal and hashed by value (see conserved_functionals)."""
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators, relations, family: str = "", family_param: int = 0):
+        self.generators: tuple[str, ...] = generators
+        self.relations: tuple[tuple[GenWord, GenWord], ...] = relations
+        self.family = family
+        self.family_param = family_param
+        if len(set(generators)) != len(generators):
             raise ParseError("duplicate generator")
-        for g in self.generators:
+        for g in generators:
             fault = _letter_fault(g)
             if fault is not None:
                 raise ParseError(f"{g!r} is {fault}")
-        for lhs, rhs in self.relations:
+        for lhs, rhs in relations:
             self.encode(lhs + rhs)
+
+    def _key(self) -> tuple:
+        return self.generators, self.relations, self.family, self.family_param
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Presentation else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def encode(self, word) -> str:
         """The word as a string holding chr(i) for its i-th generator."""
@@ -192,8 +200,7 @@ def _generators_proven_atoms(P: Presentation) -> bool:
 # -- left/right graphs and the cycle-free check -------------------------------
 
 
-@dataclass(frozen=True)
-class AdianCheck:
+class AdianCheck(NamedTuple):
     left_graph: tuple[tuple[str, str], ...]
     right_graph: tuple[tuple[str, str], ...]
     is_adian: bool
@@ -248,36 +255,39 @@ def conserved_functionals(P: Presentation) -> tuple[tuple[int, ...], ...]:
         [a - b for a, b in zip(letter_counts(P, lhs), letter_counts(P, rhs))]
         for lhs, rhs in P.relations
     ]
-    mat = [[Fraction(v) for v in row] for row in rows]
+    # Gauss-Jordan over the integers: a row is cleared by a multiple of the
+    # pivot row, then divided by the gcd of its entries.
     pivots: list[int] = []
     r = 0
     for c in range(width):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                row = [pv * a - f * b for a, b in zip(row, rows[r])]
+                g = gcd(*row) or 1
+                rows[i] = [v // g for v in row]
         pivots.append(c)
         r += 1
+    # Per free column, the null vector that is 1 there and 0 at the other free columns, times
+    # the lcm of the pivots, made primitive with a positive lead: the rational basis, scaled.
+    heads = [rows[k][c] for k, c in enumerate(pivots)]
+    scale = lcm(*heads)
     basis = []
     pivot_set = set(pivots)
     for fc in (c for c in range(width) if c not in pivot_set):
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -mat[pr][fc]
-        den = lcm(*(v.denominator for v in vec))
-        g = gcd(*(int(v * den) for v in vec))  # >= 1: vec[fc] is 1
-        ints = [int(v * den) // g for v in vec]
-        lead = next((v for v in ints if v), 1)
-        if lead < 0:
-            ints = [-v for v in ints]
-        basis.append(tuple(ints))
+        vec = [0] * width
+        vec[fc] = scale
+        for k, pc in enumerate(pivots):
+            vec[pc] = -rows[k][fc] * (scale // heads[k])
+        g = gcd(*vec)  # >= 1: vec[fc] is scale
+        if next(v for v in vec if v) < 0:
+            g = -g
+        basis.append(tuple(v // g for v in vec))
     return tuple(basis)
 
 
@@ -290,8 +300,7 @@ class CongruenceStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class CongruenceResult:
+class CongruenceResult(NamedTuple):
     status: CongruenceStatus
     chain: tuple[GenWord, ...] | None = None
     functional: tuple[int, ...] | None = None
@@ -496,8 +505,7 @@ def _random_order_normal_form(getrandbits, s: str) -> str:
     return s
 
 
-@dataclass(frozen=True)
-class LadderVerification:
+class LadderVerification(NamedTuple):
     samples: int
     cancellation_hits: int
     cancellation_failures: int
@@ -581,8 +589,7 @@ def verify_ladder_properties(
 # -- bounded length sets -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LengthProbe:
+class LengthProbe(NamedTuple):
     """Lengths of generator words congruent to a target, up to a horizon.
 
     A verified lower bound of the true length set unless complete is set;

@@ -7,8 +7,9 @@ no shared code paths with the implementations under test.
 import json
 import re
 from collections import Counter
+from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import le
 from random import Random
 
@@ -830,6 +831,50 @@ def ladder_verification(samples, max_len, seed):
         v = choice_congruent(rng, u, rng.randint(1, 4))
         psi_fail += psi_dp(u) != psi_dp(v)
     return (samples, canc_hits, canc_fail, acyc_hits, acyc_fail, conf_fail, pairs, psi_fail)
+
+
+def fraction_functional_basis(generators, relations):
+    """The canonical integer basis of the letter-count functionals that every
+    relation preserves, by Gauss-Jordan elimination over Fraction: per free
+    column, the rational null vector that is 1 there and 0 at the other free
+    columns, cleared of denominators and made primitive with a positive lead."""
+    width = len(generators)
+    rows = [
+        [lhs.count(g) - rhs.count(g) for g in generators]
+        for lhs, rhs in relations
+    ]
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [v / pv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    pivot_set = set(pivots)
+    for fc in (c for c in range(width) if c not in pivot_set):
+        vec = [Fraction(0)] * width
+        vec[fc] = Fraction(1)
+        for pr, pc in enumerate(pivots):
+            vec[pc] = -mat[pr][fc]
+        den = lcm(*(v.denominator for v in vec))
+        g = gcd(*(int(v * den) for v in vec))  # >= 1: vec[fc] is 1
+        ints = [int(v * den) // g for v in vec]
+        lead = next((v for v in ints if v), 1)
+        if lead < 0:
+            ints = [-v for v in ints]
+        basis.append(tuple(ints))
+    return tuple(basis)
+
 
 def tuple_rewrites(word, relations):
     """Every tuple word one relation application away, relation by relation,

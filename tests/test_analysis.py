@@ -3,7 +3,6 @@ simple-path searches it replaced (kept in oracles.py), and a request
 computes each of its quantities once."""
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -239,7 +238,7 @@ def test_scan_member_names_each_contradicted_flag(monkeypatch, arithmetic, group
     # idempotent; each stub contradicts one finite-case fact the scan checks
     H = fb.null_monoid(1)
     flags = fb.classify_arithmetic(H)
-    monkeypatch.setattr(corpus, "classify_arithmetic", lambda _: replace(flags, **arithmetic))
+    monkeypatch.setattr(corpus, "classify_arithmetic", lambda _: flags._replace(**arithmetic))
     if group:
         monkeypatch.setattr(H, "units", frozenset(H.elements()))
     assert scan_member("N3", H) == [violation]

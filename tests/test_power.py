@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 import factorbench as fb
@@ -97,7 +95,7 @@ def test_kappa_reports():
 def test_atomicity_routes_can_disagree():
     K = fb.cyclic(3)
     P = build_reduced_power_monoid(K)
-    P.analysis.__dict__["flags"] = replace(fb.classify_arithmetic(P), atomic=False)
+    P.analysis.__dict__["flags"] = fb.classify_arithmetic(P)._replace(atomic=False)
     with pytest.raises(CrossCheckMismatch, match="^power-monoid atomicity: criterion=True, direct=False$"):
         atomicity_criterion(K)
 

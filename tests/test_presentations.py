@@ -1,5 +1,5 @@
 import re
-from dataclasses import astuple
+from collections import Counter
 from random import Random
 
 import pytest
@@ -34,6 +34,7 @@ from oracles import (
     choice_congruent,
     choice_ladder_word,
     choice_order_normal_form,
+    fraction_functional_basis,
     ladder_verification,
     leftmost_normal_form,
     multigraph_has_cycle,
@@ -97,7 +98,9 @@ LETTER_FAULT = "{} is not a letter of a word literal (empty, holding '*' or padd
 @pytest.mark.parametrize(
     "build, error, message",
     [
+        (lambda: Presentation(("x", "y", "x"), ()), ParseError, "duplicate generator"),
         (lambda: Presentation(("x", "e"), ()), ParseError, "'e' is reserved for the empty word"),
+        (lambda: Presentation(("x",), ((("x",), ("q",)),)), AlphabetMismatch, "undeclared generator 'q'"),
         (lambda: Presentation(("x", ""), ()), ParseError, LETTER_FAULT.format("''")),
         (lambda: parse_presentation("gens: a*b"), ParseError, LETTER_FAULT.format("'a*b'")),
         (lambda: Presentation(("x\t",), ()), ParseError, LETTER_FAULT.format("'x\\t'")),
@@ -107,7 +110,7 @@ LETTER_FAULT = "{} is not a letter of a word literal (empty, holding '*' or padd
         (lambda: sandwich_power(0), ValueError, "n must be >= 1"),
         (lambda: ladder_presentation(-1), ValueError, "rungs must be >= 0"),
     ],
-    ids=["reserved-e", "empty-gen", "star-gen", "padded-gen", "second-gens", "empty-gens", "no-gens", "sandwich-zero", "negative-rungs"],
+    ids=["duplicate-gen", "reserved-e", "undeclared-letter", "empty-gen", "star-gen", "padded-gen", "second-gens", "empty-gens", "no-gens", "sandwich-zero", "negative-rungs"],
 )
 def test_refusal_names_its_fault(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -213,6 +216,83 @@ def test_conserved_functionals_are_computed_once_per_presentation_value():
     assert conserved_functionals(ladder_presentation(5)) is conserved_functionals(
         ladder_presentation(5)
     )
+
+
+# every built-in family and every presentation these tests and the golden
+# reports build
+FUNCTIONAL_PRESENTATIONS = (
+    *(sandwich_power(n) for n in range(1, 6)),
+    sandwich_xyx(),
+    *(ladder_presentation(k) for k in range(13)),
+    Presentation(("x",), ((("x",), ()),)),
+    *map(
+        parse_presentation,
+        (
+            "gens: x y; rel: x*x = y*x*x*y",
+            "gens: x; rel: x = x*x",
+            "gens: x; rel: x*x = e",
+            "gens: x y; rel: x = y*x; rel: x*y = y",
+            "gens: x y z; rel: x*y = y*z; rel: y*x = z*y",
+            "gens: x y z; rel: x*x = y*z; rel: y*y = z*x",
+            "gens: a bb c; rel: e = a*bb; rel: c = c*c",
+            "gens: a b c; rel: a*b = b*a; rel: b*c = c*b",
+            "gens: a1 b2; rel: a1*a1 = b2*a1*a1*b2",
+        ),
+    ),
+)
+
+
+def test_integer_elimination_matches_fraction_oracle_on_test_presentations():
+    for P in FUNCTIONAL_PRESENTATIONS:
+        assert conserved_functionals(P) == fraction_functional_basis(P.generators, P.relations), P.relations
+
+
+def _relation_with_counts(generators, row):
+    """A relation whose left side less its right side counts row[i] of the
+    i-th generator."""
+    return (
+        tuple(g for g, k in zip(generators, row) for _ in range(max(k, 0))),
+        tuple(g for g, k in zip(generators, row) for _ in range(max(-k, 0))),
+    )
+
+
+def test_integer_elimination_matches_fraction_oracle_on_random_matrices():
+    # widths 1-6, entries -4..4; every fourth matrix has no relations, and of
+    # the others a third hold a zero row and a third a repeated or scaled row
+    rng = Random(36)
+    kinds = Counter()
+    for i in range(2400):
+        width = rng.randint(1, 6)
+        rows = [] if i % 4 == 0 else [
+            [rng.randint(-4, 4) for _ in range(width)] for _ in range(rng.randint(1, 6))
+        ]
+        kind = ("random", "zero", "repeated")[i % 3] if rows else "none"
+        if kind == "zero":
+            rows.insert(rng.randrange(len(rows) + 1), [0] * width)
+        elif kind == "repeated":
+            k = rng.choice((1, 1, -1, 2, -3))
+            rows.insert(rng.randrange(len(rows) + 1), [k * v for v in rng.choice(rows)])
+        kinds[kind] += 1
+        generators = tuple(f"g{j}" for j in range(width))
+        P = Presentation(generators, tuple(_relation_with_counts(generators, row) for row in rows))
+        expected = fraction_functional_basis(P.generators, P.relations)
+        assert conserved_functionals.__wrapped__(P) == expected, rows
+    assert min(kinds.values()) >= 400, kinds
+
+
+def test_equal_presentations_are_equal_and_hash_equal():
+    a, b = sandwich_power(2), sandwich_power(2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != sandwich_power(3)
+    assert a != Presentation(a.generators, a.relations)  # the family is part of the value
+    assert a != (a.generators, a.relations, a.family, a.family_param)
+
+
+def test_equal_presentation_hits_the_functional_cache():
+    congruent_bounded(sandwich_power(2), ("x",), ("y",))
+    hits = conserved_functionals.cache_info().hits
+    congruent_bounded(sandwich_power(2), ("x",), ("y",))
+    assert conserved_functionals.cache_info().hits == hits + 1
 
 
 def test_chain_steps_are_single_rewrites():
@@ -468,7 +548,7 @@ def test_verification_matches_choice_oracle():
         (3500, 6, 19),
     ):
         rep = verify_ladder_properties(samples, max_len, seed)
-        assert astuple(rep) == ladder_verification(samples, max_len, seed), (samples, max_len, seed)
+        assert tuple(rep) == ladder_verification(samples, max_len, seed), (samples, max_len, seed)
 
 
 @pytest.mark.parametrize(

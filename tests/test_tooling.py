@@ -5,7 +5,9 @@ command declares, the error types match what the benchmark reads and what
 the code raises, the benchmark's span metrics name functions and classes
 that exist, every public definition and private function in src/ is used
 outside itself, every public member of a class in src/ is read in src/ or
-scripts/, and no line in src/ is wider than 100 characters."""
+scripts/, the CLI starts without dataclasses, inspect or fractions, no
+record field shadows a tuple method, and no line in src/ is wider than 100
+characters."""
 
 import argparse
 import ast
@@ -208,7 +210,7 @@ def test_every_public_member_is_read_in_src_or_scripts():
     # field or self. attribute that src/ and scripts/ never load as an
     # attribute or pass as a keyword is surface that only tests reach.
     # errors.py classes carry data for the caller, and LadderVerification's
-    # fields reach the report through asdict.
+    # fields reach the report through _asdict.
     sources = list((ROOT / "src" / "factorbench").glob("*.py"))
     sources += (ROOT / "scripts").glob("*.py")
     members, read = set(), set()
@@ -274,6 +276,38 @@ def test_package_main_prints_the_version():
     # `python -m factorbench` runs __main__.py, which no in-process test reaches
     proc = run_python("-m", "factorbench", "--version")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0.1.0\n", "")
+
+
+def test_cli_start_up_imports_every_layer_and_no_dataclasses_or_fractions():
+    # the start-up that every CLI call pays: -I ignores PYTHONPATH, so the
+    # child puts src/ on sys.path itself.  The benchmark's tracer wraps the
+    # six layers from sys.modules, so they stay imported eagerly.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import factorbench.cli as cli;"
+        " cli.build_parser(); print(*sys.modules)"
+    )
+    proc = run_python("-I", "-c", code, str(ROOT / "src"))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not {"dataclasses", "inspect", "fractions"} & loaded
+    layers = ("cli", "core", "factorization", "power", "presentations", "corpus")
+    assert {f"factorbench.{layer}" for layer in layers} <= loaded
+
+
+def test_no_record_field_shadows_a_tuple_method():
+    # the result records are NamedTuples: a field named count or index would
+    # hide the tuple method of that name
+    records = {
+        name: obj
+        for module in (fb.core, fb.factorization, fb.power, fb.presentations)
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+    }
+    assert set(records) == {
+        "PropertyReport", "LengthSet", "ArithmeticFlags", "MinimalCatalog", "FactorialFlags",
+        "KappaReport", "AdianCheck", "CongruenceResult", "LadderVerification", "LengthProbe",
+    }
+    assert not [name for name, cls in records.items() if {"count", "index"} & set(cls._fields)]
 
 
 def test_no_src_line_is_wider_than_100_characters():
