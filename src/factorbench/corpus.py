@@ -127,9 +127,11 @@ def scan_member(name: str, H: FiniteMonoid) -> list[str]:
             violations.append(f"{name}: group with non-trivial idempotents {idempotents}")
     lsets = H.analysis.length_sets
     lengths = [(x, lx) for x in H.elements() if (lx := lsets[x].up_to(SUBADDITIVITY_HORIZON))]
+    # a + b is at most twice the horizon: one lookup set per distinct length set
+    upto = {ls: set(ls.up_to(2 * SUBADDITIVITY_HORIZON)) for ls in set(lsets.values())}
     for x, lx in lengths:
         for y, ly in lengths:
-            lxy = lsets[H.mul(x, y)]
+            lxy = upto[lsets[H.mul(x, y)]]
             gap = next(((a, b) for a in lx for b in ly if a + b not in lxy), None)
             if gap:
                 violations.append(f"{name}: lengths {gap[0]}+{gap[1]} missing at {x}*{y}")

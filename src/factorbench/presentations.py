@@ -255,8 +255,7 @@ def conserved_functionals(P: Presentation) -> tuple[tuple[int, ...], ...]:
         [a - b for a, b in zip(letter_counts(P, lhs), letter_counts(P, rhs))]
         for lhs, rhs in P.relations
     ]
-    # Gauss-Jordan over the integers: a row is cleared by a multiple of the
-    # pivot row, then divided by the gcd of its entries.
+    # Gauss-Jordan over the integers; each cleared row is divided by the gcd of its entries.
     pivots: list[int] = []
     r = 0
     for c in range(width):
@@ -273,8 +272,7 @@ def conserved_functionals(P: Presentation) -> tuple[tuple[int, ...], ...]:
                 rows[i] = [v // g for v in row]
         pivots.append(c)
         r += 1
-    # Per free column, the null vector that is 1 there and 0 at the other free columns, times
-    # the lcm of the pivots, made primitive with a positive lead: the rational basis, scaled.
+    # Per free column, its rational null vector times the lcm of the pivots, made primitive.
     heads = [rows[k][c] for k, c in enumerate(pivots)]
     scale = lcm(*heads)
     basis = []
