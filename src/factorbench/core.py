@@ -12,7 +12,7 @@ import math
 from functools import cached_property
 from itertools import product
 from json.encoder import encode_basestring_ascii as _jstr
-from operator import itemgetter, mul
+from operator import itemgetter, mul, or_
 from typing import NamedTuple
 
 from .errors import CapExceeded, IndexOutOfRange, NoIdentity, NotAssociative
@@ -135,7 +135,8 @@ def _check_row(x: int, row, n: int) -> None:
     """Raise IndexOutOfRange at row x's first fault, if it has one: a wrong
     length, or an entry that is not an int (bools refused) in [0, n).  Run
     only on a row that failed the one-step check, which refuses int
-    subclasses, so an int subclass in range passes here."""
+    subclasses, so an int subclass in range passes here; FiniteMonoid then
+    stores that row as plain ints."""
     if len(row) != n:
         raise IndexOutOfRange(f"row {x} has length {len(row)}, expected {n}")
     for y, v in enumerate(row):
@@ -168,16 +169,18 @@ class FiniteMonoid:
     every element as the middle factor.  It eagerly computes the unit group;
     the atoms and their associate classes are built on first use, and the
     set of elements x divides on the first divisibility query about x.
-    All queries are pure, but the instance is not frozen: the atoms and their
-    classes, analysis, reduced_power and the sets of multiples are caches
-    that fill on first use.
+    Entries of an int subclass (an IntEnum, say) are stored as plain ints and
+    names of a str subclass as plain strs, so the table and names hold only
+    exact built-in types.  All queries are pure, but the instance is not
+    frozen: the atoms and their classes, analysis, reduced_power and the
+    sets of multiples are caches that fill on first use.
     """
 
     identity = 0
 
     def __init__(self, table, names=None):
         try:
-            rows = tuple(tuple(row) for row in table)
+            rows = [tuple(row) for row in table]
         except TypeError:
             raise ValueError("a table must be a list of rows of element indices") from None
         n = len(rows)
@@ -187,6 +190,7 @@ class FiniteMonoid:
         for x, row in enumerate(rows):
             if not (len(row) == n and _INT.issuperset(map(type, row)) and valid.issuperset(row)):
                 _check_row(x, row, n)
+                rows[x] = tuple(map(int, row))
         for x in range(n):
             if rows[0][x] != x or rows[x][0] != x:
                 raise NoIdentity(f"element 0 is not a two-sided identity (fails at {x})")
@@ -200,7 +204,7 @@ class FiniteMonoid:
             bad = next((i for i, s in enumerate(names) if not isinstance(s, str)), None)
             if bad is not None:
                 raise ValueError(f"name {bad} is {names[bad]!r}, not a string")
-            names = tuple(names)
+            names = tuple(map(str, names))
             if len(names) != n:
                 raise ValueError(f"got {len(names)} names for {n} elements")
             if len(set(names)) != n:
@@ -209,7 +213,7 @@ class FiniteMonoid:
             if bad is not None:
                 raise ValueError(f"name {bad[0]} is {names[bad[0]]!r}, {bad[1]}")
         self.size = n
-        self.table = rows
+        self.table = tuple(rows)
         self.names = names
         self.units = self._compute_units()
         self._multiples: dict[int, frozenset[int]] = {}
@@ -305,7 +309,6 @@ class FiniteMonoid:
     @cached_property
     def reduced_power(self):
         """The reduced power monoid of this monoid, built on first use."""
-        from .power import _setwise_monoid
         return _setwise_monoid(self)
 
     def __repr__(self):
@@ -499,6 +502,35 @@ def gl(n: int, m: int) -> FiniteMonoid:
     return FiniteMonoid(table, names)
 
 
+def _setwise_monoid(K: FiniteMonoid) -> FiniteMonoid:
+    """The reduced power monoid of K, by one union per table entry.
+
+    Each element is a characteristic bitmask over the base with bit 0, the
+    identity, always set; its index is the mask shifted right by one, so the
+    singleton {1} is element 0, and its name spells out the subset.  For
+    each base element x, x*B over every mask B grows from B minus its lowest
+    bit; then the row of A is (A minus its top bit)*B | top*B over the row
+    of a smaller A."""
+    n = K.size
+    _check_order(1 << (n - 1), f"the reduced power monoid of a base of size {n}")
+    masks = range(1, 1 << n, 2)
+    images = []
+    for row in K.table:
+        image = [0] * (1 << n)
+        for b in range(1, 1 << n):
+            low = b & -b
+            image[b] = image[b ^ low] | 1 << row[low.bit_length() - 1]
+        images.append([m >> 1 for m in image[1::2]])
+    table = [images[0]]
+    for ma in masks[1:]:
+        top = ma.bit_length() - 1
+        table.append(list(map(or_, table[(ma ^ 1 << top) >> 1], images[top])))
+    names = tuple(
+        "{" + ",".join(K.names[i] for i in range(n) if m >> i & 1) + "}" for m in masks
+    )
+    return FiniteMonoid(table, names)
+
+
 # -- Cayley table files ---------------------------------------------------
 
 
@@ -521,8 +553,11 @@ def load_cayley(path) -> FiniteMonoid:
 def json_text(obj) -> str:
     """The text the standard library's json encoder gives obj with sorted
     keys and an indent of 2, byte for byte, on what reports and Cayley files
-    hold: dicts with str keys, lists, tuples, str, int, bool and None.
-    Anything else, a float or a non-str key included, raises TypeError.
+    hold: dicts with str keys, and values that are dicts, lists, tuples,
+    strs or ints of the exact built-in type, True, False or None.  Anything
+    else raises TypeError: a float, a non-str key, or a value whose type
+    subclasses one of those five.  FiniteMonoid stores int-subclass entries
+    and str-subclass names as plain ints and strs, so no report holds one.
 
     With an indent, the stdlib runs its pure-Python encoder; this builds each
     container with one str.join, encodes strings in C and joins lists of
@@ -557,7 +592,7 @@ def json_text(obj) -> str:
         return "{" + inner + ("," + inner).join(items) + nl + "}"
 
     def value(o, nl: str) -> str:
-        kind = type(o)  # the exact types first; subclasses and singletons take the chain
+        kind = type(o)
         if kind is str:
             return _jstr(o)
         if kind is int:
@@ -566,20 +601,12 @@ def json_text(obj) -> str:
             return mapping(o, nl)
         if kind is list or kind is tuple:
             return sequence(o, nl)
-        if isinstance(o, str):
-            return _jstr(o)
         if o is None:
             return "null"
         if o is True:
             return "true"
         if o is False:
             return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, (list, tuple)):
-            return sequence(o, nl)
-        if isinstance(o, dict):
-            return mapping(o, nl)
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
     return value(obj, "\n")

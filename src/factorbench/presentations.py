@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 from random import Random
@@ -67,7 +67,11 @@ def format_word_text(symbols) -> str:
 
 
 class Presentation:
-    """Generators and relations, equal and hashed by value (see conserved_functionals)."""
+    """Generators and relations, equal and hashed by value (see conserved_functionals).
+
+    Construction encodes each relation's sides once, left then right, which
+    validates them, and keeps the encoded rewrite rules: each relation
+    forwards, then backwards."""
 
     def __init__(self, generators, relations, family: str = "", family_param: int = 0):
         self.generators: tuple[str, ...] = generators
@@ -80,8 +84,9 @@ class Presentation:
             fault = _letter_fault(g)
             if fault is not None:
                 raise ParseError(f"{g!r} is {fault}")
-        for lhs, rhs in relations:
-            self.encode(lhs + rhs)
+        self._code = {g: chr(i) for i, g in enumerate(generators)}
+        sides = [(self.encode(lhs), self.encode(rhs)) for lhs, rhs in relations]
+        self.rules = tuple(rule for a, b in sides for rule in ((a, b), (b, a)))
 
     def _key(self) -> tuple:
         return self.generators, self.relations, self.family, self.family_param
@@ -94,20 +99,13 @@ class Presentation:
 
     def encode(self, word) -> str:
         """The word as a string holding chr(i) for its i-th generator."""
-        code = {g: chr(i) for i, g in enumerate(self.generators)}
         try:
-            return "".join([code[g] for g in word])
+            return "".join(map(self._code.__getitem__, word))
         except KeyError as exc:
             raise AlphabetMismatch(f"undeclared generator {exc.args[0]!r}") from None
 
     def decode(self, s: str) -> GenWord:
         return tuple(map(self.generators.__getitem__, map(ord, s)))
-
-    @cached_property
-    def rules(self) -> tuple[tuple[str, str], ...]:
-        """Encoded rewrite rules: each relation forwards, then backwards."""
-        sides = [(self.encode(lhs), self.encode(rhs)) for lhs, rhs in self.relations]
-        return tuple(rule for a, b in sides for rule in ((a, b), (b, a)))
 
 
 def parse_presentation(text: str) -> Presentation:

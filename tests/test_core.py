@@ -22,6 +22,7 @@ from oracles import (
     reduce_generating_set,
     restrict_table,
     semigroup_closure,
+    stdlib_json_text,
 )
 from test_random_monoids import INSTANCES
 
@@ -118,12 +119,23 @@ def test_malformed_entry_raises_like_the_entry_scan(name):
     assert str(exc.value) == entry_scan(table)
 
 
+class Label(str):
+    pass
+
+
 def test_int_subclass_entries_are_accepted():
     table = with_entry(1, 1, Letter.B, with_entry(3, 2, Letter.A))
     assert entry_scan(table) is None
     H = FiniteMonoid(table)
     assert H.table == tuple(map(tuple, C4_TABLE))
     assert fb.property_battery(H).group
+    # stored as plain ints and strs, which the exact-type writer takes
+    assert all(type(v) is int for row in H.table for v in row)
+    names = ["1", "g", "g^2", "g^3"]
+    K = FiniteMonoid(table, list(map(Label, names)))
+    assert all(type(s) is str for s in K.names)
+    for M, plain in ((H, ["1", "x1", "x2", "x3"]), (K, names)):
+        assert dump_cayley(M) == stdlib_json_text({"names": plain, "table": C4_TABLE}) + "\n"
 
 
 @pytest.mark.parametrize("n,m", [(1, 7), (2, 3), (2, 5), (3, 2)])

@@ -117,6 +117,43 @@ def test_refusal_names_its_fault(build, error, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sandwich_power(1),
+        lambda: sandwich_power(3),
+        sandwich_xyx,
+        ladder_presentation,
+        lambda: parse_presentation("gens: a b c; rel: a*b = b*a; rel: c = e; rel: a*a*c = b"),
+    ],
+    ids=["sandwich-power-1", "sandwich-power-3", "sandwich-xyx", "ladder", "custom"],
+)
+def test_rules_are_each_relation_encoded_forwards_then_backwards(build):
+    P = build()
+
+    def code(word):
+        return "".join(chr(P.generators.index(g)) for g in word)
+
+    expected = []
+    for lhs, rhs in P.relations:
+        assert (P.encode(lhs), P.encode(rhs)) == (code(lhs), code(rhs))
+        expected += [(code(lhs), code(rhs)), (code(rhs), code(lhs))]
+    assert P.rules == tuple(expected)
+
+
+def test_an_undeclared_right_hand_letter_is_named_before_later_relations():
+    read = []
+
+    def relations():
+        for rel in [(("x",), ("y", "x")), (("x", "y"), ("y", "q", "p")), (("r",), ("x",))]:
+            read.append(rel)
+            yield rel
+
+    with pytest.raises(AlphabetMismatch, match="^undeclared generator 'q'$"):
+        Presentation(("x", "y"), relations())
+    assert len(read) == 2
+
+
 # -- left/right graphs ------------------------------------------------------------
 
 

@@ -6,8 +6,8 @@ the code raises, the benchmark's span metrics name functions and classes
 that exist, every public definition and private function in src/ is used
 outside itself, every public member of a class in src/ is read in src/ or
 scripts/, the CLI starts without dataclasses, inspect or fractions, no
-record field shadows a tuple method, and no line in src/ is wider than 100
-characters."""
+record field shadows a tuple method, no function body in src/ holds an
+import, and no line in src/ is wider than 100 characters."""
 
 import argparse
 import ast
@@ -308,6 +308,20 @@ def test_no_record_field_shadows_a_tuple_method():
         "KappaReport", "AdianCheck", "CongruenceResult", "LadderVerification", "LengthProbe",
     }
     assert not [name for name, cls in records.items() if {"count", "index"} & set(cls._fields)]
+
+
+def test_no_src_function_body_imports():
+    # every import sits at the head of its module, so the module heads give
+    # the whole import graph and no cycle hides inside a function
+    nested = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "factorbench").glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    assert not nested
 
 
 def test_no_src_line_is_wider_than_100_characters():
