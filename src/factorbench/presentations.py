@@ -243,16 +243,21 @@ def letter_counts(P: Presentation, word: GenWord) -> tuple[int, ...]:
     return tuple(word.count(g) for g in P.generators)
 
 
+def _count_differences(P: Presentation) -> list[list[int]]:
+    """Each relation's letter counts, left side less right side."""
+    return [
+        [a - b for a, b in zip(letter_counts(P, lhs), letter_counts(P, rhs))]
+        for lhs, rhs in P.relations
+    ]
+
+
 @lru_cache(maxsize=64)
 def conserved_functionals(P: Presentation) -> tuple[tuple[int, ...], ...]:
     """Integer basis of the linear letter-count functionals that every
     defining relation preserves.  Cached by value: each request builds its
     own, equal, family presentation."""
     width = len(P.generators)
-    rows = [
-        [a - b for a, b in zip(letter_counts(P, lhs), letter_counts(P, rhs))]
-        for lhs, rhs in P.relations
-    ]
+    rows = _count_differences(P)
     # Gauss-Jordan over the integers; each cleared row is divided by the gcd of its entries.
     pivots: list[int] = []
     r = 0
@@ -285,6 +290,42 @@ def conserved_functionals(P: Presentation) -> tuple[tuple[int, ...], ...]:
             g = -g
         basis.append(tuple(v // g for v in vec))
     return tuple(basis)
+
+
+@lru_cache(maxsize=64)
+def _difference_lattice(P: Presentation) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Echelon basis of the lattice spanned by the relations' letter-count
+    differences, as (pivot column, row) pairs with a positive pivot, in
+    increasing pivot order.  Only unimodular row operations (Euclid on each
+    pivot column) are used, so the rows span that lattice over the integers.
+    Cached by value, as conserved_functionals is."""
+    rows = _count_differences(P)
+    basis = []
+    for c in range(len(P.generators)):
+        live = [row for row in rows if row[c]]
+        rows = [row for row in rows if not row[c]]
+        while len(live) > 1:
+            head = min(live, key=lambda row: abs(row[c]))
+            live = [
+                row if row is head else [a - row[c] // head[c] * b for a, b in zip(row, head)]
+                for row in live
+            ]
+            rows += [row for row in live if not row[c]]
+            live = [row for row in live if row[c]]
+        if live:
+            sign = 1 if live[0][c] > 0 else -1
+            basis.append((c, tuple(sign * a for a in live[0])))
+    return tuple(basis)
+
+
+def _in_difference_lattice(P: Presentation, delta) -> bool:
+    """Whether the letter-count vector delta is an integer combination of the
+    relations' letter-count differences: reduced by the echelon rows in
+    pivot order, it leaves no remainder."""
+    for c, row in _difference_lattice(P):
+        q = delta[c] // row[c]
+        delta = [a - q * b for a, b in zip(delta, row)]
+    return not any(delta)
 
 
 # -- bounded word problem -------------------------------------------------------
@@ -337,7 +378,13 @@ def congruent_bounded(
     """Bidirectional breadth-first search over single-relation rewrites, with
     a definite NO from any conserved letter-count functional separating u and
     v; otherwise unknown once the expansion budget runs out.  On success the
-    rewriting chain from u to v is returned."""
+    rewriting chain from u to v is returned.
+
+    Each rewrite moves the letter counts by one relation difference, so a
+    pair whose count difference lies outside the lattice those differences
+    span has no chain: it is answered unknown at once, as the search would
+    answer it at every budget.  It is not refuted, because a report has no
+    key yet for the modulus that such a refutation needs."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
     u, v = tuple(u), tuple(v)
@@ -348,6 +395,8 @@ def congruent_bounded(
             return CongruenceResult(CongruenceStatus.REFUTED, functional=f)
     if u == v:
         return CongruenceResult(CongruenceStatus.EQUIVALENT, chain=(u,))
+    if not _in_difference_lattice(P, [a - b for a, b in zip(cu, cv)]):
+        return CongruenceResult(CongruenceStatus.UNKNOWN)
 
     parents: list[dict[str, str | None]] = [{su: None}, {sv: None}]
     frontiers = [[su], [sv]]

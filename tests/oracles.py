@@ -876,6 +876,64 @@ def fraction_functional_basis(generators, relations):
     return tuple(basis)
 
 
+def smith_normal_form(generators, relations):
+    """The Smith normal form S = U*R*V of the relations' letter-count
+    difference matrix R, by row and column operations over the integers:
+    (d, V), with d the positive diagonal entries d_1 | d_2 | ... of S and V
+    the unimodular matrix of the column operations.  Each round takes the
+    entry of least absolute value in the unfinished block as pivot, clears
+    its row and column by division with remainder, and when a block entry is
+    not a multiple of the pivot, adds that entry's row to the pivot row."""
+    width = len(generators)
+    m = [[lhs.count(g) - rhs.count(g) for g in generators] for lhs, rhs in relations]
+    V = [[int(i == j) for j in range(width)] for i in range(width)]
+
+    def column_op(j, t, q):  # column j -= q * column t, in m and in V
+        for mat in (m, V):
+            for row in mat:
+                row[j] -= q * row[t]
+
+    def swap_columns(j, t):
+        for mat in (m, V):
+            for row in mat:
+                row[j], row[t] = row[t], row[j]
+
+    d = []
+    t = 0
+    while True:
+        block = [(abs(m[i][j]), i, j) for i in range(t, len(m)) for j in range(t, width) if m[i][j]]
+        if not block:
+            return d, V
+        _, i, j = min(block)
+        m[t], m[i] = m[i], m[t]
+        swap_columns(j, t)
+        p = m[t][t]
+        for i in range(t + 1, len(m)):
+            q = m[i][t] // p
+            m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+        for j in range(t + 1, width):
+            column_op(j, t, m[t][j] // p)
+        if any(m[i][t] for i in range(t + 1, len(m))) or any(m[t][t + 1 :]):
+            continue
+        bad = next((i for i in range(t + 1, len(m)) if any(a % p for a in m[i][t + 1 :])), None)
+        if bad is not None:
+            m[t] = [a + b for a, b in zip(m[t], m[bad])]
+            continue
+        d.append(abs(p))
+        t += 1
+
+
+def smith_lattice_member(smith, delta):
+    """Whether the letter-count vector delta is an integer combination of the
+    relations' letter-count differences, given smith = (d, V) of their
+    smith_normal_form: with S = U*R*V, delta = x*R for an integer x exactly
+    when delta*V = y*S for an integer y, that is when (delta*V)_i is a
+    multiple of d_i for i up to the rank and 0 after it."""
+    d, V = smith
+    image = [sum(a * row[j] for a, row in zip(delta, V)) for j in range(len(delta))]
+    return all(x % di == 0 for x, di in zip(image, d)) and not any(image[len(d) :])
+
+
 def tuple_rewrites(word, relations):
     """Every tuple word one relation application away, relation by relation,
     forwards then backwards, position by position, comparing a slice at every

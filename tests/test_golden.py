@@ -47,6 +47,7 @@ GOLDEN = {
     "present lengths x*y*x --family sandwich-xyx --max-len 9 --budget 300": "c2fd4b389d781df86ac013447b4220db313e473f1c3fdd99c0eecd3c9bb7a53b",
     "present verify --family ladder --samples 200 --seed 3": "e24b5454fe30bece2c1b74c1ad3e0e1cdc8da1cb8030254b808671c282bd5a43",
     "present congruent a1*a1 b2*a1*a1*b2 --in A1B2": "ecfd318d179e16a8aaa01c2e064e66711bfb1ad1207b5e159878951e6fbdb8b0",
+    "present congruent y*x*x y*y*x*x --family sandwich-power --n 2": "77e09ef244355016c7a27d617ea2f438f16a466d4e8d4592133f65487f5a5ea1",
 }
 
 

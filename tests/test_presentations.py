@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from itertools import product
 from random import Random
 
 import pytest
@@ -24,7 +25,9 @@ from factorbench.presentations import (
     sandwich_power,
     sandwich_xyx,
     verify_ladder_properties,
+    _difference_lattice,
     _grow,
+    _in_difference_lattice,
     _random_congruent,
     _random_ladder_word,
     _random_order_normal_form,
@@ -39,6 +42,8 @@ from oracles import (
     leftmost_normal_form,
     multigraph_has_cycle,
     psi_dp,
+    smith_lattice_member,
+    smith_normal_form,
     tuple_chain_valid,
     tuple_congruence_search,
     tuple_length_probe,
@@ -293,11 +298,11 @@ def _relation_with_counts(generators, row):
     )
 
 
-def test_integer_elimination_matches_fraction_oracle_on_random_matrices():
-    # widths 1-6, entries -4..4; every fourth matrix has no relations, and of
-    # the others a third hold a zero row and a third a repeated or scaled row
-    rng = Random(36)
-    kinds = Counter()
+def _random_difference_matrices(rng, kinds):
+    """2400 presentations with random relation-difference rows, each with its
+    rows: widths 1-6, entries -4..4; every fourth matrix has no relations, and
+    of the others a third hold a zero row and a third a repeated or scaled
+    row.  kinds counts the four kinds."""
     for i in range(2400):
         width = rng.randint(1, 6)
         rows = [] if i % 4 == 0 else [
@@ -311,10 +316,89 @@ def test_integer_elimination_matches_fraction_oracle_on_random_matrices():
             rows.insert(rng.randrange(len(rows) + 1), [k * v for v in rng.choice(rows)])
         kinds[kind] += 1
         generators = tuple(f"g{j}" for j in range(width))
-        P = Presentation(generators, tuple(_relation_with_counts(generators, row) for row in rows))
+        yield Presentation(generators, tuple(_relation_with_counts(generators, row) for row in rows)), rows
+
+
+def test_integer_elimination_matches_fraction_oracle_on_random_matrices():
+    kinds = Counter()
+    for P, rows in _random_difference_matrices(Random(36), kinds):
         expected = fraction_functional_basis(P.generators, P.relations)
         assert conserved_functionals.__wrapped__(P) == expected, rows
     assert min(kinds.values()) >= 400, kinds
+
+
+def _lattice_members(P, probes):
+    """Check the echelon basis of P's difference lattice against the Smith
+    normal form oracle, and the membership test on each probe; return how
+    many probes lie in the lattice."""
+    smith = smith_normal_form(P.generators, P.relations)
+    basis = _difference_lattice.__wrapped__(P)
+    assert basis == _difference_lattice(P)
+    pivots = [c for c, _ in basis]
+    assert pivots == sorted(set(pivots)) and len(basis) == len(smith[0])
+    assert all(b % a == 0 for a, b in zip(smith[0], smith[0][1:]))
+    for c, row in basis:
+        assert row[c] > 0 and not any(row[:c])
+        assert smith_lattice_member(smith, row)
+    for lhs, rhs in P.relations:
+        assert _in_difference_lattice(P, [a - b for a, b in zip(letter_counts(P, lhs), letter_counts(P, rhs))])
+    members = 0
+    for delta in probes:
+        inside = _in_difference_lattice(P, list(delta))
+        assert inside == smith_lattice_member(smith, delta), (P.relations, delta)
+        members += inside
+    return members
+
+
+def test_difference_lattice_matches_smith_oracle_on_test_presentations():
+    # every count difference with entries -2..2, and the torsion the sandwich
+    # families share: the y count changes by 2 in every relation
+    members = probes = 0
+    for P in FUNCTIONAL_PRESENTATIONS:
+        box = list(product(range(-2, 3), repeat=len(P.generators)))
+        members += _lattice_members(P, box)
+        probes += len(box)
+    assert 0 < members < probes
+    for P in (*(sandwich_power(n) for n in range(1, 6)), sandwich_xyx()):
+        assert _difference_lattice(P) == ((1, (0, 2)),)
+        assert smith_normal_form(P.generators, P.relations)[0] == [2]
+    assert {_difference_lattice(ladder_presentation(k)) for k in range(13)} == {((0, (1, 0, 2, 0)),)}
+
+
+def test_difference_lattice_matches_smith_oracle_on_random_matrices():
+    # per matrix, combinations of its rows, the same moved by a multiple of
+    # one unit vector, and vectors with entries -6..6
+    rng = Random(38)
+    kinds = Counter()
+    members = probes = 0
+    for P, rows in _random_difference_matrices(Random(37), kinds):
+        width = len(P.generators)
+        combos = [
+            [sum(rng.randint(-3, 3) * row[j] for row in rows) for j in range(width)]
+            for _ in range(4)
+        ]
+        moved = [list(delta) for delta in combos]
+        for delta in moved:
+            delta[rng.randrange(width)] += rng.choice((-3, -2, -1, 1, 2, 3))
+        loose = [[rng.randint(-6, 6) for _ in range(width)] for _ in range(4)]
+        members += _lattice_members(P, combos + moved + loose)
+        probes += 12
+    assert min(kinds.values()) >= 400, kinds
+    assert probes / 3 < members < 2 * probes / 3, (members, probes)
+
+
+def test_every_oracle_chain_stays_in_the_difference_lattice():
+    # each rewrite step moves the letter counts by one relation difference
+    chains = 0
+    for P, u, v in _search_pairs(Random(11)):
+        status, chain = tuple_congruence_search(P.relations, u, v, 60)
+        if status == "equivalent":
+            smith = smith_normal_form(P.generators, P.relations)
+            for w in chain:
+                delta = [a - b for a, b in zip(letter_counts(P, u), letter_counts(P, w))]
+                assert _in_difference_lattice(P, delta) and smith_lattice_member(smith, delta)
+            chains += 1
+    assert chains >= 20
 
 
 def test_equal_presentations_are_equal_and_hash_equal():
@@ -330,6 +414,14 @@ def test_equal_presentation_hits_the_functional_cache():
     hits = conserved_functionals.cache_info().hits
     congruent_bounded(sandwich_power(2), ("x",), ("y",))
     assert conserved_functionals.cache_info().hits == hits + 1
+
+
+def test_equal_presentation_hits_the_lattice_cache():
+    # x*x and x*x*y agree on every conserved functional, so the lattice decides
+    congruent_bounded(sandwich_power(2), ("x", "x"), ("x", "x", "y"))
+    hits = _difference_lattice.cache_info().hits
+    congruent_bounded(sandwich_power(2), ("x", "x"), ("x", "x", "y"))
+    assert _difference_lattice.cache_info().hits == hits + 1
 
 
 def test_chain_steps_are_single_rewrites():
@@ -373,10 +465,14 @@ def _random_steps(rng, P, word, steps):
 
 
 def _search_pairs(rng):
-    """Congruent pairs made by random rewriting on every presentation, and
-    parity pairs on the sandwich families: one y added outside the relation
+    """Congruent pairs made by random rewriting on every presentation; parity
+    pairs on the sandwich families, where one y added outside the relation
     side keeps every conserved functional but flips the parity of the y
-    count, which every relation changes by 2."""
+    count, which every relation changes by 2, so congruent_bounded answers
+    them from the difference lattice without expanding a word; and pairs
+    h*x*y*t, h*y*x*t on sandwich-power(2) and sandwich-xyx, with a relation
+    side in h, whose letter counts are equal, so only the search can answer
+    them, and it runs until its budget is spent."""
     pairs = []
     for P in ORACLE_PRESENTATIONS:
         for _ in range(4):
@@ -387,6 +483,11 @@ def _search_pairs(rng):
             head, tail = _random_word(rng, P, 0, 3), _random_word(rng, P, 0, 3)
             u = head + P.relations[0][0] + tail
             pairs.append((P, u, head + ("y",) + P.relations[0][0] + tail))
+    for P in (ORACLE_PRESENTATIONS[1], ORACLE_PRESENTATIONS[3]):
+        for _ in range(3):
+            head = _random_word(rng, P, 0, 2) + P.relations[0][0] + _random_word(rng, P, 0, 2)
+            tail = _random_word(rng, P, 0, 2)
+            pairs.append((P, head + ("x", "y") + tail, head + ("y", "x") + tail))
     return pairs
 
 
@@ -414,15 +515,49 @@ def test_rewrites_keep_the_oracle_order():
     assert found > 2400 and stopped > 200
 
 
-def test_search_spends_the_oracle_expansions():
+def test_search_spends_the_oracle_expansions(monkeypatch):
+    grows = []
+    monkeypatch.setattr(presentations, "_grow", lambda *args: grows.append(args) or _grow(*args))
     statuses = set()
+    unknown = Counter()
     for P, u, v in _search_pairs(Random(11)):
         for budget in range(0, 61):
+            before = len(grows)
             res = congruent_bounded(P, u, v, budget)
             status, chain = tuple_congruence_search(P.relations, u, v, budget)
             assert (res.status.value, res.chain) == (status, chain), (P, u, v, budget)
             statuses.add(status)
+            if status == "unknown":
+                unknown["searched" if len(grows) > before else "lattice"] += 1
     assert statuses == {"equivalent", "unknown"}
+    # the parity pairs never search; the equal-count pairs search at every budget
+    assert unknown["lattice"] == 12 * 61 and unknown["searched"] >= 6 * 61, unknown
+
+
+def _parity_pair(rng, P):
+    """A benchmark parity pair: a relation side among one x and three y in
+    random order, and the same word with one more y outside that side."""
+    side = P.relations[0][0]
+    letters = ["x"] + ["y"] * 3
+    rng.shuffle(letters)
+    i = rng.randint(0, len(letters))
+    u = tuple(letters[:i]) + side + tuple(letters[i:])
+    j = rng.choice([k for k in range(len(u) + 1) if k <= i or k >= i + len(side)])
+    return u, u[:j] + ("y",) + u[j:]
+
+
+def test_parity_pairs_expand_no_word_at_the_default_budget(monkeypatch):
+    grows = []
+    monkeypatch.setattr(presentations, "_grow", lambda *args: grows.append(args) or _grow(*args))
+    rng = Random(7)
+    for P in (sandwich_power(1), sandwich_power(2), sandwich_power(3), sandwich_xyx()):
+        for _ in range(10):
+            u, v = _parity_pair(rng, P)
+            assert congruent_bounded(P, u, v).status is CongruenceStatus.UNKNOWN
+    assert grows == []
+    # the same pair with its counts equal again does search
+    assert congruent_bounded(P, u, v + ("y",), 5).status is CongruenceStatus.UNKNOWN
+    assert grows
 
 
 def test_length_probe_spends_the_oracle_expansions():
