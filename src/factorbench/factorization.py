@@ -203,7 +203,11 @@ class LengthSet(NamedTuple):
         return self.period == 0
 
     def up_to(self, horizon: int) -> list[int]:
-        return [k for k in range(horizon + 1) if k in self]
+        out = [k for k in self.finite_part if k <= horizon]
+        if self.period:
+            period, residues = self.period, self.residues
+            out += [k for k in range(self.threshold, horizon + 1) if k % period in residues]
+        return out
 
     def is_empty(self) -> bool:
         return not self.finite_part and not self.residues
@@ -312,6 +316,28 @@ def is_powerful(S, a) -> tuple[bool, tuple | None]:
     return S.powerful(a)
 
 
+def _signature_fields(limit: int, atoms) -> list[int]:
+    """field[q] for each atom q <= limit, 0 elsewhere: what appending q adds
+    to a word's signature (see integer_class_table).  Atoms above
+    isqrt(limit) add their value; the rest add 1 at the foot of their own
+    field, stacked above limit.bit_length() bits in ascending atom order."""
+    field = [0] * (limit + 1)
+    root = isqrt(limit)
+    shift = limit.bit_length()
+    for q in atoms:
+        if q > root:
+            if q <= limit:
+                field[q] = q
+            continue
+        field[q] = 1 << shift
+        count, power = 0, q
+        while power <= limit:
+            count += 1
+            power *= q
+        shift += count.bit_length()
+    return field
+
+
 def integer_class_table(limit: int) -> int | None:
     """The least n <= limit with two or more factorization classes (distinct
     prime multisets), or None if every n <= limit has one.
@@ -322,25 +348,38 @@ def integer_class_table(limit: int) -> int | None:
     a prime p | n.  Below the least n where some candidate disagrees with
     word[n], every n has one class by induction, so that n's classes are
     exactly its candidates: at least two.  If none disagrees, none has two.
+
+    Each word is held as one int, the signature of its atom multiset, so
+    appending p adds field[p] (see _signature_fields).  An atom above
+    isqrt(limit) is stored as its value in the lowest limit.bit_length() bits;
+    two such atoms multiply past limit, so a word has at most one.  Each atom
+    q <= isqrt(limit) counts in its own field above those bits,
+    floor(log_q limit).bit_length() bits wide; q^c <= limit bounds its count c,
+    so adding never carries between fields.  A signature therefore reads back
+    as the count of every small atom and the one large atom, if any: equal
+    signatures mean equal multisets, with no fact about primes used.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    # The words and candidates are tuples of ints, never part of a cycle, so
-    # the cyclic collector would only walk them over and over: pause it.
+    # The lists below hold only ints, never part of a cycle, so a collector
+    # pass set off by the slices made here would find nothing: pause it.
     collecting = gc.isenabled()
     gc.disable()
     try:
         primes = primes_up_to(limit)
+        field = _signature_fields(limit, primes)
         largest = [1] * (limit + 1)
         for p in primes:  # ascending, so the largest prime factor is written last
             largest[p::p] = [p] * (limit // p)
-        word: list = [None, ()] + [None] * (limit - 1)
+        sig = [0] * (limit + 1)  # sig[1] = 0 is the empty word
         lo = 2
         while lo <= limit:  # block [lo, 2*lo) reads only n // P < lo
             hi = min(2 * lo, limit + 1)
             top = largest[lo:hi]
-            word[lo:hi] = map(
-                add, map(word.__getitem__, map(floordiv, range(lo, hi), top)), zip(top)
+            sig[lo:hi] = map(
+                add,
+                map(sig.__getitem__, map(floordiv, range(lo, hi), top)),
+                map(field.__getitem__, top),
             )
             lo = hi
         least = None
@@ -349,11 +388,11 @@ def integer_class_table(limit: int) -> int | None:
             if top <= p:  # then every j <= top has largest[j] <= p
                 break
             above = list(map(gt, largest[1 : top + 1], repeat(p)))
-            rest = iter(word[1 : top + 1])
-            wanted = map(tuple, map(sorted, map(add, compress(rest, above), repeat((p,)))))
-            if any(map(ne, wanted, compress(word[p::p], above))):
+            rest = iter(sig[1 : top + 1])
+            wanted = map(add, compress(rest, above), repeat(field[p]))
+            if any(map(ne, wanted, compress(sig[p::p], above))):
                 # any stops at the least j that disagrees and nothing reads ahead, so rest
-                # gave word[1..j]; an index counter per candidate costs ~6% of this loop
+                # gave sig[1..j]; an index counter per candidate costs ~6% of this loop
                 n = p * (top - length_hint(rest))
                 least = n if least is None else min(least, n)
         return least

@@ -681,6 +681,28 @@ def integer_class_sets(limit):
     return table
 
 
+def tuple_integer_class_table(limit, atoms):
+    """The least n <= limit at which some candidate word disagrees with the
+    canonical one, or None, with words kept as sorted tuples of atoms.
+    word[n] = word[n // P] + (P,), P the largest atom dividing n; for each
+    atom p | n with P > p the candidate is sorted(word[n // p] + (p,))."""
+    atoms = sorted(a for a in atoms if a <= limit)
+    largest = [1] * (limit + 1)
+    for a in atoms:
+        for m in range(a, limit + 1, a):
+            largest[m] = a
+    word = [None, ()] + [None] * (limit - 1)
+    for n in range(2, limit + 1):
+        word[n] = word[n // largest[n]] + (largest[n],)
+    least = None
+    for p in atoms:
+        for j in range(1, limit // p + 1):
+            if largest[j] > p and tuple(sorted(word[j] + (p,))) != word[p * j]:
+                least = p * j if least is None else min(least, p * j)
+                break
+    return least
+
+
 def integer_prime_scan(limit, p):
     """Primality of p in the integers 1..limit under multiplication, by the
     all-pairs scan: (flag, the first pair (x, y) with x*y <= limit in

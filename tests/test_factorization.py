@@ -2,7 +2,7 @@ import gc
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import factorbench as fb
 from factorbench.errors import AlphabetMismatch, CapExceeded, CrossCheckMismatch
@@ -33,6 +33,7 @@ from oracles import (
     per_element_length_sets,
     restrict_table,
     smallest_prime_factorization,
+    tuple_integer_class_table,
     word_catalog,
 )
 from test_random_monoids import INSTANCES, random_transformation_monoid
@@ -226,6 +227,23 @@ def test_length_set_canonical_form_preserves_membership(fin, threshold, period, 
             assert any(
                 ((k in ls) != ((k + d) in ls)) for k in range(ls.threshold, ls.threshold + 2 * ls.period)
             )
+
+
+@given(
+    st.frozensets(st.integers(0, 8), max_size=5),
+    st.integers(0, 9),
+    st.integers(0, 6),
+    st.frozensets(st.integers(0, 6), max_size=4),
+)
+@example(frozenset({1, 4}), 6, 0, frozenset())  # finite
+@example(frozenset({2}), 5, 3, frozenset())  # empty residues: finite too
+@example(frozenset(), 0, 3, frozenset({1}))  # threshold 0
+@example(frozenset({0, 3}), 7, 2, frozenset({1}))  # periodic above a finite part
+def test_length_set_up_to_matches_membership(fin, threshold, period, residues):
+    ls = LengthSet.build(frozenset(k for k in fin if k < threshold), threshold, period, residues)
+    # every horizon from negative through the threshold to three periods past it
+    for horizon in range(-3, ls.threshold + 3 * max(ls.period, 1) + 2):
+        assert ls.up_to(horizon) == [k for k in range(horizon + 1) if k in ls], (ls, horizon)
 
 
 # -- classifiers ------------------------------------------------------------------
@@ -785,6 +803,68 @@ def test_integer_class_table_lists_a_planted_second_class(monkeypatch):
     monkeypatch.setattr(factorization, "primes_up_to", lambda limit: tuple(sorted(primes(limit) + (4,))))
     assert integer_class_table(12) == 12
     assert integer_class_table(11) is None
+
+
+# Limits where the signature layout changes: every limit up to 400; p^2 - 1,
+# p^2 and p^2 + 1, where p moves between the value field and its own field;
+# the powers of 2 and 3, where a field widens; and 10^4.
+LAYOUT_LIMITS = sorted(
+    {
+        *range(1, 401),
+        *(p * p + d for p in primes_up_to(100) for d in (-1, 0, 1)),
+        *(b**e for b in (2, 3) for e in range(1, 17) if b**e <= 10**5),
+        10**4,
+    }
+)
+# Planted atoms 4 and 9 with isqrt(limit) above, at and below them.
+PLANTED_LIMITS = {
+    (4,): (3, 11, 12, 15, 16, 20, 24, 25, 60, 400),
+    (9,): (8, 17, 18, 80, 81, 90, 99, 100, 400),
+    (4, 9): (11, 12, 16, 24, 81, 100, 400),
+}
+
+
+def test_integer_class_table_matches_the_tuple_oracle():
+    for limit in LAYOUT_LIMITS:
+        assert integer_class_table(limit) == tuple_integer_class_table(limit, primes_up_to(limit)), limit
+
+
+@pytest.mark.parametrize("planted", list(PLANTED_LIMITS))
+def test_integer_class_table_matches_the_tuple_oracle_on_planted_atoms(monkeypatch, planted):
+    limits = PLANTED_LIMITS[planted]
+    oracle = {limit: tuple_integer_class_table(limit, primes_up_to(limit) + planted) for limit in limits}
+    # the least n where a candidate disagrees: 12 = 3*4 = 2*2*3 with 4 planted,
+    # 45 = 5*9 = 3*3*5 with 9 (18 = 2*9 = 2*3*3 is not a candidate pair: the
+    # check skips p | n with largest[n // p] <= p, which holds only for primes)
+    assert oracle[400] == (12 if 4 in planted else 45)
+    primes = factorization.primes_up_to
+    monkeypatch.setattr(factorization, "primes_up_to", lambda limit: tuple(sorted(primes(limit) + planted)))
+    for limit in limits:
+        assert integer_class_table(limit) == oracle[limit], (planted, limit)
+
+
+@pytest.mark.parametrize(
+    "planted, limits",
+    [((), LAYOUT_LIMITS), *((planted, limits) for planted, limits in PLANTED_LIMITS.items())],
+)
+def test_signature_fields_never_carry(planted, limits):
+    # a word for n <= limit holds q at most c times, q^c <= limit: that count
+    # fills q's field without reaching the next one, and the one atom above
+    # isqrt(limit) a word can hold sits below the lowest field
+    for limit in limits:
+        atoms = sorted(primes_up_to(limit) + planted)
+        field = factorization._signature_fields(limit, atoms)
+        small = [q for q in atoms if q * q <= limit]
+        large = [q for q in atoms if q * q > limit and q <= limit]
+        units = [field[q] for q in small]
+        assert [field[q] for q in large] == large, limit
+        assert not units or all(q < units[0] for q in large), limit
+        for q, unit, above in zip(small, units, [*units[1:], None]):
+            count = 0
+            while q ** (count + 1) <= limit:
+                count += 1
+            assert unit & (unit - 1) == 0 and count >= 1, (limit, q)
+            assert above is None or count * unit < above, (limit, q)
 
 
 @pytest.mark.parametrize("build", [IntegerFragment, integer_class_table])
