@@ -317,24 +317,21 @@ def is_powerful(S, a) -> tuple[bool, tuple | None]:
 
 
 def _signature_fields(limit: int, atoms) -> list[int]:
-    """field[q] for each atom q <= limit, 0 elsewhere: what appending q adds
-    to a word's signature (see integer_class_table).  Atoms above
-    isqrt(limit) add their value; the rest add 1 at the foot of their own
-    field, stacked above limit.bit_length() bits in ascending atom order."""
+    """field[q] for each atom q (all <= limit), 0 elsewhere: what appending q
+    adds to a word's signature, laid out as integer_class_table says."""
     field = [0] * (limit + 1)
     root = isqrt(limit)
     shift = limit.bit_length()
     for q in atoms:
         if q > root:
-            if q <= limit:
-                field[q] = q
-            continue
-        field[q] = 1 << shift
-        count, power = 0, q
-        while power <= limit:
-            count += 1
-            power *= q
-        shift += count.bit_length()
+            field[q] = q
+        else:
+            field[q] = 1 << shift
+            count, power = 0, q
+            while power <= limit:
+                count += 1
+                power *= q
+            shift += count.bit_length()
     return field
 
 
@@ -361,8 +358,8 @@ def integer_class_table(limit: int) -> int | None:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    # The lists below hold only ints, never part of a cycle, so a collector
-    # pass set off by the slices made here would find nothing: pause it.
+    # The lists below hold only ints, never part of a cycle, so the cyclic
+    # collector would only walk them over and over: pause it.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -685,7 +685,8 @@ def tuple_integer_class_table(limit, atoms):
     """The least n <= limit at which some candidate word disagrees with the
     canonical one, or None, with words kept as sorted tuples of atoms.
     word[n] = word[n // P] + (P,), P the largest atom dividing n; for each
-    atom p | n with P > p the candidate is sorted(word[n // p] + (p,))."""
+    atom p | n with largest[n // p] > p the candidate is
+    sorted(word[n // p] + (p,))."""
     atoms = sorted(a for a in atoms if a <= limit)
     largest = [1] * (limit + 1)
     for a in atoms:

@@ -818,8 +818,8 @@ LAYOUT_LIMITS = sorted(
 )
 # Planted atoms 4 and 9 with isqrt(limit) above, at and below them.
 PLANTED_LIMITS = {
-    (4,): (3, 11, 12, 15, 16, 20, 24, 25, 60, 400),
-    (9,): (8, 17, 18, 80, 81, 90, 99, 100, 400),
+    (4,): (4, 11, 12, 15, 16, 20, 24, 25, 60, 400),
+    (9,): (9, 17, 18, 80, 81, 90, 99, 100, 400),
     (4, 9): (11, 12, 16, 24, 81, 100, 400),
 }
 
@@ -855,7 +855,7 @@ def test_signature_fields_never_carry(planted, limits):
         atoms = sorted(primes_up_to(limit) + planted)
         field = factorization._signature_fields(limit, atoms)
         small = [q for q in atoms if q * q <= limit]
-        large = [q for q in atoms if q * q > limit and q <= limit]
+        large = [q for q in atoms if q * q > limit]
         units = [field[q] for q in small]
         assert [field[q] for q in large] == large, limit
         assert not units or all(q < units[0] for q in large), limit
