@@ -499,7 +499,11 @@ _BATCH_LETTERS = 32
 
 
 def _random_ladder_word(getrandbits, max_len: int) -> str:
-    n = _randbelow(getrandbits, max_len + 1)
+    # the length is _randbelow(getrandbits, max_len + 1), without the call
+    k = (max_len + 1).bit_length()
+    n = getrandbits(k)
+    while n > max_len:
+        n = getrandbits(k)
     if n > _BATCH_LETTERS:
         parts = []
         while n:
@@ -519,13 +523,18 @@ def _random_ladder_word(getrandbits, max_len: int) -> str:
 
 def _random_congruent(getrandbits, s: str, steps: int) -> str:
     """steps random expansions x y^k z -> y x y^(k+1) z w or contractions,
-    each drawn uniformly over every occurrence, factors first."""
+    each drawn uniformly over every occurrence, factors first.
+
+    Every contraction occurrence y x y^m z w holds the factor x y^m z, so a
+    word in which one search finds no factor has no move, and is returned
+    without a draw.  A step always leaves a factor (the x y^(k+1) z of an
+    expansion, the x y^(m-1) z a contraction writes), so no later step can
+    find none."""
+    if _FACTOR.search(s) is None:
+        return s
     for _ in range(steps):
         factors = len(_FACTOR.findall(s))
-        moves = factors + len(_CONTRACT.findall(s))
-        if not moves:
-            break
-        k = _randbelow(getrandbits, moves)
+        k = _randbelow(getrandbits, factors + len(_CONTRACT.findall(s)))
         if k < factors:
             i, j = next(islice(_FACTOR.finditer(s), k, None)).span()
             s = s[:i] + "yx" + "y" * (j - i - 1) + "zw" + s[j:]
@@ -582,6 +591,10 @@ def verify_ladder_properties(
     form.  Congruent pairs are manufactured by random rewriting so the
     premises actually fire.  Psi invariance: max(samples // 10, 1) further
     congruent pairs, drawn from a fresh Random(seed), must have equal psi.
+
+    A sample normalizes no word whose answer its draws already decide: v == u
+    holds both cancellation sides, empty a and b make u*z*v the word z, a
+    probe that no rewrite changed reuses nf(z*u), and v == u has equal psi.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
@@ -590,41 +603,58 @@ def verify_ladder_properties(
     rng = Random(seed)
     bits = rng.getrandbits
     nf = _normal_form
+    word = _random_ladder_word
+    congruent = _random_congruent
     canc_hits = canc_fail = 0
     acyc_hits = acyc_fail = 0
     conf_fail = 0
     for _ in range(samples):
-        z = _random_ladder_word(bits, max_len)
-        u = _random_ladder_word(bits, max_len)
+        z = word(bits, max_len)
+        u = word(bits, max_len)
         if rng.random() < 0.5:
-            v = _random_congruent(bits, u, 1 + _randbelow(bits, 3))
+            # each step count is _randbelow(bits, 3): two bits, redrawn at 3
+            steps = bits(2)
+            while steps == 3:
+                steps = bits(2)
+            v = congruent(bits, u, 1 + steps)
         else:
-            v = _random_ladder_word(bits, max_len)
+            v = word(bits, max_len)
 
-        sides = (nf(z + u) == nf(z + v)) + (nf(u + z) == nf(v + z))
-        if sides:
-            canc_hits += sides
-            if nf(u) != nf(v):
-                canc_fail += sides
+        zu = z + u
+        if u == v:
+            canc_hits += 2
+            nzu = None
+        else:
+            nzu = nf(zu)
+            sides = (nzu == nf(z + v)) + (nf(u + z) == nf(v + z))
+            if sides:
+                canc_hits += sides
+                if nf(u) != nf(v):
+                    canc_fail += sides
 
         a = u if rng.random() < 0.5 else ""
         b = v if rng.random() < 0.5 else ""
-        if nf(a + z + b) == nf(z):
+        if not (a or b):
             acyc_hits += 1
-            if a or b:
-                acyc_fail += 1
+        elif nf(a + z + b) == nf(z):
+            acyc_hits += 1
+            acyc_fail += 1
 
-        probe = _random_congruent(bits, z + u, _randbelow(bits, 3))
-        if _random_order_normal_form(bits, probe) != nf(probe):
+        steps = bits(2)
+        while steps == 3:
+            steps = bits(2)
+        probe = congruent(bits, zu, steps)
+        nprobe = nzu if probe == zu and nzu is not None else nf(probe)
+        if _random_order_normal_form(bits, probe) != nprobe:
             conf_fail += 1
 
     bits = Random(seed).getrandbits
     pairs = max(samples // 10, 1)
     psi_fail = 0
     for _ in range(pairs):
-        u = _random_ladder_word(bits, max_len)
-        v = _random_congruent(bits, u, 1 + _randbelow(bits, 4))
-        if len(_FACTOR.findall(u)) != len(_FACTOR.findall(v)):
+        u = word(bits, max_len)
+        v = congruent(bits, u, 1 + _randbelow(bits, 4))
+        if v != u and len(_FACTOR.findall(u)) != len(_FACTOR.findall(v)):
             psi_fail += 1
     return LadderVerification(
         samples, canc_hits, canc_fail, acyc_hits, acyc_fail, conf_fail, pairs, psi_fail

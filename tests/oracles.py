@@ -821,18 +821,31 @@ def choice_order_normal_form(rng, s):
         s = _ladder_contract(s, m.start(), m.end())
 
 
-def ladder_verification(samples, max_len, seed):
+def ladder_verification(samples, max_len, seed, record=None):
     """The fields of the ladder verification report, in order: the same
     checks on the same draws, by Random.choice and Random.randint, with
-    leftmost_normal_form as the normal form and psi_dp as psi."""
+    leftmost_normal_form as the normal form and psi_dp as psi.
+
+    A record list gets, in draw order, ("rewrite", word, steps) for each
+    rewrite and ("contract", probe) for each random-order contraction."""
     nf = leftmost_normal_form
+    log = [] if record is None else record
+
+    def rewrite(rng, s, steps):
+        log.append(("rewrite", s, steps))
+        return choice_congruent(rng, s, steps)
+
+    def contract(rng, s):
+        log.append(("contract", s))
+        return choice_order_normal_form(rng, s)
+
     rng = Random(seed)
     canc_hits = canc_fail = acyc_hits = acyc_fail = conf_fail = 0
     for _ in range(samples):
         z = choice_ladder_word(rng, max_len)
         u = choice_ladder_word(rng, max_len)
         if rng.random() < 0.5:
-            v = choice_congruent(rng, u, rng.randint(1, 3))
+            v = rewrite(rng, u, rng.randint(1, 3))
         else:
             v = choice_ladder_word(rng, max_len)
         for same in (nf(z + u) == nf(z + v), nf(u + z) == nf(v + z)):
@@ -844,14 +857,14 @@ def ladder_verification(samples, max_len, seed):
         if nf(a + z + b) == nf(z):
             acyc_hits += 1
             acyc_fail += bool(a or b)
-        probe = choice_congruent(rng, z + u, rng.randint(0, 2))
-        conf_fail += choice_order_normal_form(rng, probe) != nf(probe)
+        probe = rewrite(rng, z + u, rng.randint(0, 2))
+        conf_fail += contract(rng, probe) != nf(probe)
     rng = Random(seed)
     pairs = max(samples // 10, 1)
     psi_fail = 0
     for _ in range(pairs):
         u = choice_ladder_word(rng, max_len)
-        v = choice_congruent(rng, u, rng.randint(1, 4))
+        v = rewrite(rng, u, rng.randint(1, 4))
         psi_fail += psi_dp(u) != psi_dp(v)
     return (samples, canc_hits, canc_fail, acyc_hits, acyc_fail, conf_fail, pairs, psi_fail)
 

@@ -28,6 +28,7 @@ from factorbench.presentations import (
     _difference_lattice,
     _grow,
     _in_difference_lattice,
+    _normal_form,
     _random_congruent,
     _random_ladder_word,
     _random_order_normal_form,
@@ -717,10 +718,43 @@ def test_occurrence_draws_match_random_choice(s, seed, steps):
 def test_verification_matches_choice_oracle():
     for samples, max_len, seed in (
         (0, 6, 0), (1, 0, 3), (200, 6, 3), (700, 6, 5), (400, 12, 7), (150, 40, 11), (10, 400, 2),
-        (3500, 6, 19),
+        (3500, 6, 19), (3500, 6, 23), (3500, 6, 29),
+        # where the length draw's bit width changes, and around the batched letter draw
+        (300, 0, 1), (300, 1, 2), (300, 2, 3), (300, 3, 4), (300, 7, 5),
+        (200, 31, 6), (200, 32, 7), (200, 33, 8),
     ):
         rep = verify_ladder_properties(samples, max_len, seed)
         assert tuple(rep) == ladder_verification(samples, max_len, seed), (samples, max_len, seed)
+
+
+@pytest.mark.parametrize("samples, max_len, seed", [(3500, 6, 31), (150, 40, 11)])
+def test_verification_draws_match_the_oracle(monkeypatch, samples, max_len, seed):
+    # the report cannot see a wrong step count in the psi pass: compare every
+    # rewrite's (word, steps) and every random-order probe, in draw order
+    seen = []
+
+    def rewrite(bits, s, steps):
+        seen.append(("rewrite", s, steps))
+        return _random_congruent(bits, s, steps)
+
+    def contract(bits, s):
+        seen.append(("contract", s))
+        return _random_order_normal_form(bits, s)
+
+    monkeypatch.setattr(presentations, "_random_congruent", rewrite)
+    monkeypatch.setattr(presentations, "_random_order_normal_form", contract)
+    record = []
+    rep = verify_ladder_properties(samples, max_len, seed)
+    assert tuple(rep) == ladder_verification(samples, max_len, seed, record)
+    assert seen == record
+
+
+def test_verification_normalizes_no_word_its_draws_decide(monkeypatch):
+    calls = []
+    monkeypatch.setattr(presentations, "_normal_form", lambda s: calls.append(s) or _normal_form(s))
+    verify_ladder_properties(3500, 6, 19)
+    # 28,168 when every sample normalized all of its words
+    assert len(calls) == 14_849
 
 
 @pytest.mark.parametrize(
