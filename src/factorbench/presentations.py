@@ -594,7 +594,7 @@ def verify_ladder_properties(
 
     A sample normalizes no word whose answer its draws already decide: v == u
     holds both cancellation sides, empty a and b make u*z*v the word z, a
-    probe that no rewrite changed reuses nf(z*u), and v == u has equal psi.
+    probe no rewrite changed reuses nf(z*u); the psi pass skips v == u.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
