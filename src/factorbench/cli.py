@@ -37,7 +37,6 @@ from .factorization import (
     is_powerful,
     is_prime,
     kappa_and_dichotomy,
-    length_set,
     minimal_catalog,
     primes_up_to,
 )
@@ -91,17 +90,31 @@ def _class_counts(H: FiniteMonoid, word: tuple) -> list[int]:
     return counts
 
 
-def _element_payload(H: FiniteMonoid, x: int) -> dict:
-    return {
-        "lengths": length_set(H, x).describe(),
-        "minimal_classes": [
-            {
-                "counts": _class_counts(H, word),
-                "representative": format_word_text(H.names[a] for a in word),
-            }
-            for word in minimal_catalog(H).classes_of(x)
-        ],
-    }
+def _element_blocks(H: FiniteMonoid, xs) -> list[dict]:
+    """The name, length set and minimal classes of each x in xs.  Each
+    distinct LengthSet is described once, and every element with that set
+    shares the one dict."""
+    lsets = H.analysis.length_sets
+    classes_of = minimal_catalog(H).classes_of
+    described: dict = {}
+    blocks = []
+    for x in xs:
+        ls = lsets[x]
+        lengths = described.get(ls)
+        if lengths is None:
+            lengths = described[ls] = ls.describe()
+        blocks.append({
+            "element": H.names[x],
+            "lengths": lengths,
+            "minimal_classes": [
+                {
+                    "counts": _class_counts(H, word),
+                    "representative": format_word_text(H.names[a] for a in word),
+                }
+                for word in classes_of(x)
+            ],
+        })
+    return blocks
 
 
 def _monoid_payload(H: FiniteMonoid) -> dict:
@@ -119,7 +132,7 @@ def _monoid_payload(H: FiniteMonoid) -> dict:
         "units": [H.names[u] for u in sorted(H.units)],
         "kappa": kappa,
         "minimal_length_union": list(union_lengths),
-        "elements": [{"element": H.names[x], **_element_payload(H, x)} for x in H.elements()],
+        "elements": _element_blocks(H, H.elements()),
     }
 
 
@@ -132,11 +145,11 @@ def _cmd_factorize(ns):
     H, digest = _load_monoid(ns)
     x = H.index_of(ns.element)
     words = enumerate_factorizations(H, x, ns.max_len)
+    [block] = _element_blocks(H, [x])
     return 0, digest, {
-        "element": ns.element,
         "max_len": ns.max_len,
         "factorizations": [format_word_text(H.names[a] for a in w) for w in words],
-        **_element_payload(H, x),
+        **block,
     }
 
 

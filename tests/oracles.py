@@ -175,6 +175,14 @@ def brute_units(table):
     return {u for u in range(n) if any(table[u][v] == 0 == table[v][u] for v in range(n))}
 
 
+def inverse_checked_units(table):
+    """The units by two scans: u has a 1 in its row, and the first v with
+    u*v == 1 also has v*u == 1."""
+    return frozenset(
+        u for u, row in enumerate(table) if 0 in row and table[row.index(0)][u] == 0
+    )
+
+
 def brute_atoms(table):
     n = len(table)
     units = brute_units(table)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import factorbench as fb
 from factorbench import cli, corpus, factorization, presentations
 from factorbench.cli import main
+from factorbench.core import json_text
 from factorbench.presentations import EMPTY_LITERAL
 from conftest import run_python
 from oracles import class_count_vector
@@ -100,6 +101,35 @@ def test_analyze_instance_flags(capsys):
     body = json.loads(out)["report"]
     assert body["properties"]["group"] is True
     assert body["kappa"] == 0
+
+
+def test_analyze_describes_each_distinct_length_set_once(capsys, monkeypatch):
+    # a group's identity has the length set {0} and every other element the
+    # empty set: two descriptions for 144 elements, and the 143 non-identity
+    # elements share one lengths dict
+    describe, described, reports = factorization.LengthSet.describe, [], []
+
+    def counting_describe(self):
+        described.append(self)
+        return describe(self)
+
+    monkeypatch.setattr(factorization.LengthSet, "describe", counting_describe)
+    monkeypatch.setattr(cli, "json_text", lambda obj: reports.append(obj) or json_text(obj))
+    code, out, _ = run_cli(capsys, "analyze", "--cyclic", "144")
+    assert code == 0
+    assert [ls.finite_part for ls in described] == [(0,), ()]
+    assert all(ls.is_empty() for ls in described[1:])
+    [report] = reports
+    elements = report["report"]["elements"]
+    assert len(elements) == 144
+    assert len({id(e["lengths"]) for e in elements[1:]}) == 1
+    assert elements[1]["lengths"] is not elements[0]["lengths"]
+    assert json.loads(out)["report"]["elements"][143]["lengths"] == {
+        "finite": [], "threshold": 0, "period": 0, "residues": [],
+    }
+    described.clear()
+    code, _, _ = run_cli(capsys, "factorize", "g", "--cyclic", "144")
+    assert code == 0 and len(described) == 1
 
 
 def test_analyze_prints_every_field_of_the_flag_records(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import factorbench as fb
 from factorbench.core import FiniteMonoid, dump_cayley, parse_cayley
-from factorbench.corpus import corpus_members
+from factorbench.corpus import corpus_members, small_monoids
 from factorbench.errors import CapExceeded, IndexOutOfRange, NoIdentity, NotAssociative
 from oracles import (
     association_orbits,
@@ -18,13 +18,14 @@ from oracles import (
     element_order,
     entry_scan,
     idempotents,
+    inverse_checked_units,
     matmul_gl_table,
     reduce_generating_set,
     restrict_table,
     semigroup_closure,
     stdlib_json_text,
 )
-from test_random_monoids import INSTANCES
+from test_random_monoids import INSTANCES, random_transformation_monoid
 
 N3_TABLE = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
 
@@ -154,6 +155,25 @@ def test_units_and_association_match_sandwich_scan(sample_corpus):
         classes = association_orbits(t, units)[1]
         assert H.atom_classes == tuple(c for c in classes if c[0] in atoms), name
         assert set().union(*H.atom_classes) == atoms, name
+
+
+def test_units_are_the_rows_that_hold_the_identity():
+    # the one-scan units against the two-scan predicate they replaced, on the
+    # labelled monoids of order <= 4 and the families of the table workload:
+    # cyclic products, GL(2,3) x C2 and transformation monoids
+    small = [H for n in range(1, 5) for H in small_monoids(n)]
+    assert len(small) == 1 + 2 + 11 + 156
+    for H in small:
+        assert H.units == inverse_checked_units(H.table) == brute_units(H.table), H.table
+    monoids = [fb.direct_product(fb.cyclic(a), fb.cyclic(n // a))
+               for n, a in ((64, 4), (80, 5), (96, 6), (144, 3), (144, 12))]
+    monoids.append(fb.direct_product(fb.gl(2, 3), fb.cyclic(2)))
+    monoids.append(fb.full_transformation(3))
+    monoids += [random_transformation_monoid(seed, points=points, gens=gens)
+                for seed, points, gens in ((4, 4, 2), (9, 4, 3), (8, 4, 3), (23, 5, 2))]
+    for H in monoids:
+        assert H.units == inverse_checked_units(H.table), H
+    assert sorted(len(H.units) for H in monoids[-4:]) == [1, 1, 2, 3]
 
 
 def test_instance_catalog():

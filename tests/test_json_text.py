@@ -1,7 +1,9 @@
 """The report writers against independent renderings.  `json_text` against
 the standard library's `json.dumps(obj, sort_keys=True, indent=2)` (the
 oracle in oracles.py): the same text on nested report values and on the
-report of every golden command, and on bools among ints; the same
+report of every golden command, on bools among ints, and on lists of
+records (dicts with one key set) whose dict values are shared, within one
+list, across lists at other depths and outside any list; the same
 TypeError on what json cannot encode, and a TypeError on what json encodes
 but no report holds: floats, non-str keys, and values whose type subclasses
 dict, list, str or int (an IntEnum), since the writer takes exact built-in
@@ -40,6 +42,18 @@ NUMBERS = st.one_of(
 LEAVES = st.one_of(STRINGS, NUMBERS, st.booleans(), st.none())
 
 
+@st.composite
+def _records(draw, kids):
+    """A list of dicts with one key set, each dict's keys inserted in its own
+    order, so the writer takes its records path."""
+    keys = draw(st.lists(STRINGS, min_size=1, max_size=4, unique=True))
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(keys))
+        out.append({k: draw(kids) for k in order})
+    return out
+
+
 def _containers(kids):
     return st.one_of(
         st.lists(kids, max_size=5),
@@ -47,6 +61,8 @@ def _containers(kids):
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
         st.lists(STRINGS, max_size=4),
         st.dictionaries(STRINGS, kids, max_size=4),
+        _records(kids),
+        st.lists(st.builds(dict), min_size=1, max_size=3),
     )
 
 
@@ -57,6 +73,45 @@ VALUES = st.recursive(LEAVES, _containers, max_leaves=30)
 @given(VALUES)
 def test_nested_values_match_the_stdlib(obj):
     assert json_text(obj) == stdlib_json_text(obj)
+
+
+@st.composite
+def _aliased_reports(draw):
+    """One dict object held by several records of one list, by records of a
+    second list two levels deeper, and elsewhere in the report: as a plain
+    value and as an item of a list that is not records."""
+    shared = draw(st.dictionaries(STRINGS, VALUES, min_size=1, max_size=3))
+    keys = draw(st.lists(STRINGS, min_size=1, max_size=3, unique=True))
+
+    def records():
+        return [
+            {k: shared if draw(st.booleans()) else draw(VALUES) for k in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(1, 4)))
+        ]
+
+    return {
+        "top": records(),
+        "deeper": {"rows": [{"inner": records(), "n": 1}, {"inner": [], "n": 2}]},
+        "plain": shared,
+        "mixed": [shared, 0, shared],
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(_aliased_reports())
+def test_aliased_record_values_match_the_stdlib(report):
+    assert json_text(report) == stdlib_json_text(report)
+
+
+def test_records_share_text_only_at_one_depth():
+    # the same dict as a field of records at three indents, and a records
+    # list whose dicts are all one object
+    shared = {"b": [1, {"c": None}], "a": "x"}
+    row = {"lengths": shared, "element": "g"}
+    report = {"elements": [row, {"element": "h", "lengths": shared}],
+              "nested": [{"elements": [row, row]}], "shared": shared, "same": [row, row, row]}
+    assert json_text(report) == stdlib_json_text(report)
+    assert json_text([{}, {}, {}]) == stdlib_json_text([{}, {}, {}]) == "[\n  {},\n  {},\n  {}\n]"
 
 
 @pytest.mark.parametrize("command", list(GOLDEN))
@@ -107,6 +162,9 @@ class Name(str):
     pass
 
 
+SHARED_FLOAT = {"finite": [0], "period": 0.5}
+
+
 class Row(list):
     pass
 
@@ -154,11 +212,17 @@ def test_what_json_cannot_encode_raises_type_error(obj):
         {"rows": Row([1, "a", Row([2])])},
         {Name("key"): Name("value"), "names": [Name("x"), "y"]},
         {"level": Level.HIGH, "levels": [1, Level.LOW, 2]},
+        [{1: "a"}, {1: "b"}],
+        [OrderedDict([("a", 1)]), OrderedDict([("a", 2)])],
+        [{"a": 1}, OrderedDict([("a", 2)])],
+        [{"lengths": SHARED_FLOAT, "x": 1}, {"x": 2, "lengths": SHARED_FLOAT}],
     ],
     ids=[
         "float", "nan", "inf", "-inf", "float-in-list",
         "int-key", "float-key", "bool-key", "none-key", "intenum-key",
         "ordered-dict", "list-subclass", "str-subclass", "intenum",
+        "int-key-records", "ordered-dict-records", "ordered-dict-among-records",
+        "float-in-shared-record-value",
     ],
 )
 def test_json_text_refuses_what_reports_never_hold(obj):
