@@ -571,7 +571,7 @@ def json_text(obj) -> str:
     would keep the text of every dict, the whole report's included, until
     the call returns: on the 15.8 MB report of `analyze --null 120` it
     raised the peak RSS from 90 to 150 MB (Python 3.11, Linux), and it took
-    5-10% more of the writer's time on reports that share little, those of
+    8-12% more of the writer's time on reports that share little, those of
     power and null monoids.  Containers are not checked for cycles."""
     prefixes: dict[str, str] = {}  # holds str keys only, so no other key can match one
 

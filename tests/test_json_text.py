@@ -114,6 +114,24 @@ def test_records_share_text_only_at_one_depth():
     assert json_text([{}, {}, {}]) == stdlib_json_text([{}, {}, {}]) == "[\n  {},\n  {},\n  {}\n]"
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"a": 1}, {"a": 2, "b": 3}],
+        [{"a": 1, "b": 2}, {"b": 3}],
+        [{"a": 1}, {"b": 2}],
+        [{"a": 1}, {}],
+        [{}, {"a": 1}],
+        [{"a": 1, "b": 2}, {"b": 3, "a": 4}, {"a": 5, "c": 6}],
+    ],
+    ids=["superset", "subset", "disjoint", "empty-last", "empty-first", "last-differs"],
+)
+def test_dicts_with_other_key_sets_are_not_records(rows):
+    # only a list whose dicts all hold the first dict's keys is written as
+    # records; any other list of dicts writes each dict with its own keys
+    assert json_text(rows) == stdlib_json_text(rows)
+
+
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_golden_reports_match_the_stdlib(command, tmp_path, capsys, monkeypatch):
     argv = command.split()
