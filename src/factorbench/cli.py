@@ -82,20 +82,14 @@ def _load_monoid(ns) -> tuple[FiniteMonoid, str]:
     raise FactorbenchError("no monoid given: use --in or an instance flag")
 
 
-def _class_counts(H: FiniteMonoid, word: tuple) -> list[int]:
-    """The letters of an atom word counted per atom class."""
-    counts = [0] * len(H.atom_classes)
-    for a in word:
-        counts[H.atom_class_of[a]] += 1
-    return counts
-
-
 def _element_blocks(H: FiniteMonoid, xs) -> list[dict]:
     """The name, length set and minimal classes of each x in xs.  Each
     distinct LengthSet is described once, and every element with that set
-    shares the one dict."""
+    shares the one dict.  A class prints its representative's letters
+    counted per atom class and the representative itself."""
     lsets = H.analysis.length_sets
     classes_of = minimal_catalog(H).classes_of
+    class_of, names, width = H.atom_class_of, H.names, len(H.atom_classes)
     described: dict = {}
     blocks = []
     for x in xs:
@@ -103,17 +97,15 @@ def _element_blocks(H: FiniteMonoid, xs) -> list[dict]:
         lengths = described.get(ls)
         if lengths is None:
             lengths = described[ls] = ls.describe()
-        blocks.append({
-            "element": H.names[x],
-            "lengths": lengths,
-            "minimal_classes": [
-                {
-                    "counts": _class_counts(H, word),
-                    "representative": format_word_text(H.names[a] for a in word),
-                }
-                for word in classes_of(x)
-            ],
-        })
+        minimal = []
+        for word in classes_of(x):
+            counts = [0] * width
+            letters = []
+            for a in word:
+                counts[class_of[a]] += 1
+                letters.append(names[a])
+            minimal.append({"counts": counts, "representative": format_word_text(letters)})
+        blocks.append({"element": names[x], "lengths": lengths, "minimal_classes": minimal})
     return blocks
 
 

@@ -130,6 +130,10 @@ def _first_non_associative(rows, middles) -> tuple[int, int, int] | None:
 _INT = frozenset({int})
 _STR = frozenset({str})
 _DICT = frozenset({dict})
+# The text of each small int, for json_text's lists of ints (count vectors,
+# lengths, table rows).  A dict, so an int outside it raises KeyError: a list
+# indexed by -1 would give the text of its last entry.
+_INT_TEXT = {i: str(i) for i in range(256)}
 
 
 def _check_row(x: int, row, n: int) -> None:
@@ -561,7 +565,8 @@ def json_text(obj) -> str:
 
     With an indent, the stdlib runs its pure-Python encoder; this builds each
     container with one str.join, encodes strings in C and joins lists of
-    plain ints or strs without a call per item.  A list of non-empty dicts
+    plain ints or strs without a call per item, the text of an int below
+    256 read from a table.  A list of non-empty dicts
     with one key set (the elements of an analyze report, say) is written as
     records: the keys are sorted and their prefixes looked up once for the
     list, and a dict value that several of its records hold (one object) is
@@ -586,7 +591,10 @@ def json_text(obj) -> str:
             return "[]"
         inner = nl + "  "
         if _INT.issuperset(map(type, o)):
-            items = map(int.__repr__, o)
+            try:
+                items = list(map(_INT_TEXT.__getitem__, o))
+            except KeyError:
+                items = map(int.__repr__, o)
         elif _STR.issuperset(map(type, o)):
             items = map(_jstr, o)
         elif (

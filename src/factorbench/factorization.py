@@ -20,6 +20,7 @@ word.
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from functools import cached_property
 from heapq import merge
 from itertools import compress, groupby, repeat
@@ -539,7 +540,7 @@ class AtomAnalysis:
         by_mask = {}
         for mask in dict.fromkeys(masks):
             # bit k of the mask, read from its binary digits; the "0b" prefix has no "1"
-            ks =[k for k, b in enumerate(reversed(bin(mask))) if b == "1"]
+            ks = [k for k, b in enumerate(reversed(bin(mask))) if b == "1"]
             residues = {k % p for k in ks if k >= first}
             by_mask[mask] = LengthSet.build([k for k in ks if k < first], first, p, residues)
         return {x: by_mask[mask] for x, mask in enumerate(masks)}
@@ -620,9 +621,9 @@ class AtomAnalysis:
         (element, class-count vector) states, one layer per word length.
 
         Each state of a layer, in the order the states were made, is extended
-        by every atom in atom order; the new state (y, k) is kept iff k is
-        new for y and no vector kept for y in an earlier layer is <= k (a
-        vector strictly below k has a smaller total).  This is exact:
+        by atoms in atom order; the new state (y, k) is kept iff k is new for
+        y and no vector kept for y in an earlier layer is <= k (a vector
+        strictly below k has a smaller total).  This is exact:
         - no minimal class is lost: a prefix of a minimal word is minimal
           (a smaller prefix would give a smaller whole word), so by induction
           on length every minimal state is made from a kept one, and kept;
@@ -630,11 +631,24 @@ class AtomAnalysis:
           would have been kept in an earlier layer and blocked k;
         - the search ends: a minimal word repeats no prefix product (cutting
           the loop between repeats leaves a smaller vector), so at most |H|
-          layers are non-empty; a loop edge x*a == x makes a state dominated
-          by the one it leaves, so it is skipped outright;
+          layers are non-empty;
         - each representative is the lexicographically first word of its
           state: that word extends the first word of its prefix's state, and
           layers are made, hence kept, in the order of their first words.
+        A loop edge x*a == x makes a state dominated by the one it leaves, so
+        the first visit to x lists its other out-edges, as positions in the
+        atom tuple, once for every later state of x.
+
+        When the atoms commute pairwise, a state is extended only by the
+        atoms from its representative's last letter on, so only sorted words
+        are made.  This stays exact: every permutation of a word has the same
+        product and the same class-count vector, and the sorted one is
+        lexicographically <= the word, so the first word of every state is
+        sorted, and so is each of its prefixes.  The prefix argument above
+        then reaches every minimal state along sorted words alone, and each
+        state's first word is still the lexicographically first.  The check
+        reads the atoms' own products, so it also holds on monoids that do
+        not commute but whose atoms do.
 
         Each vector is packed into one int with a field of w = |H|.bit_length()
         + 1 bits per atom class, class c at bit (top - c)*w, where top is the
@@ -648,7 +662,8 @@ class AtomAnalysis:
         occurs), so each element keeps its earlier vectors in buckets keyed by
         support mask.  A query for support s looks up the 2**|s| sub-masks of
         s when they are fewer than the buckets, and otherwise scans the
-        buckets for masks within s.
+        buckets for masks within s; an element with no bucket yet is not
+        queried.
         With class 0 in the top field and no guard bit set, kept vectors
         compare as ints as they do lexicographically, and a vector's total is
         its word's length, so each element's words are listed by (length,
@@ -657,40 +672,52 @@ class AtomAnalysis:
         atom class.
         """
         H = self.H
+        succ = self.succ
         top = len(H.atom_classes) - 1
         w = H.size.bit_length() + 1
         guards = sum(1 << (c * w + w - 1) for c in range(top + 1))
         steps = [(a, 1 << (top - H.atom_class_of[a]) * w, 1 << H.atom_class_of[a]) for a in H.atoms]
+        block = [succ[a] for a in H.atoms]
+        commute = block == list(zip(*block))
         kept: list[dict[int, tuple]] = [{} for _ in H.elements()]
         earlier: list[dict[int, list[int]]] = [{} for _ in H.elements()]
+        edges: list[list[int] | None] = [None] * H.size
         kept[H.identity][0] = ()
-        layer = [(H.identity, 0, 0)]
+        # a state is (element, packed vector, support, position of its last letter)
+        layer = [(H.identity, 0, 0, 0)]
         while layer:
-            for x, counts, supp in layer:
+            for x, counts, supp, _ in layer:
                 earlier[x].setdefault(supp, []).append(counts)
             made = []
-            for x, counts, supp in layer:
+            for x, counts, supp, last in layer:
                 word = kept[x][counts]
-                for (a, step, bit), y in zip(steps, self.succ[x]):
-                    if y == x:
-                        continue
+                row = succ[x]
+                out = edges[x]
+                if out is None:
+                    out = edges[x] = [i for i, y in enumerate(row) if y != x]
+                if commute and last:
+                    out = out[bisect_left(out, last) :]
+                for i in out:
+                    y = row[i]
+                    a, step, bit = steps[i]
                     k = counts + step
                     reps = kept[y]
                     if k in reps:
                         continue
                     s = supp | bit
                     buckets = earlier[y]
-                    if 1 << s.bit_count() < len(buckets):
-                        dominated = _dominated_via_submasks
-                    else:
-                        dominated = _dominated_via_buckets
-                    if dominated(k | guards, s, buckets, guards):
-                        continue
+                    if buckets:
+                        if 1 << s.bit_count() < len(buckets):
+                            dominated = _dominated_via_submasks
+                        else:
+                            dominated = _dominated_via_buckets
+                        if dominated(k | guards, s, buckets, guards):
+                            continue
                     reps[k] = word + (a,)
-                    made.append((y, k, s))
+                    made.append((y, k, s, i))
             layer = made
 
-        del earlier  # the buckets go before the lists are built
+        del earlier, edges  # the buckets go before the lists are built
         per_element = {}
         for x, reps in enumerate(kept):
             per_element[x] = tuple(reps[k] for k in sorted(reps, key=lambda k: (len(reps[k]), k)))

@@ -62,8 +62,8 @@ def _letter_fault(name: str) -> str | None:
 
 
 def format_word_text(symbols) -> str:
-    symbols = tuple(symbols)
-    return "*".join(symbols) if symbols else EMPTY_LITERAL
+    # no letter is empty (_letter_fault), so only the empty word joins to ""
+    return "*".join(symbols) or EMPTY_LITERAL
 
 
 class Presentation:

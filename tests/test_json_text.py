@@ -1,7 +1,8 @@
 """The report writers against independent renderings.  `json_text` against
 the standard library's `json.dumps(obj, sort_keys=True, indent=2)` (the
 oracle in oracles.py): the same text on nested report values and on the
-report of every golden command, on bools among ints, and on lists of
+report of every golden command, on bools among ints, on int lists at both
+edges of the writer's table of small-int texts, and on lists of
 records (dicts with one key set) whose dict values are shared, within one
 list, across lists at other depths and outside any list; the same
 TypeError on what json cannot encode, and a TypeError on what json encodes
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from factorbench import cli
 from factorbench.cli import main
-from factorbench.core import json_text
+from factorbench.core import _INT_TEXT, json_text
 from oracles import nested_text, stdlib_json_text
 from test_golden import FILE_INPUTS, GOLDEN
 
@@ -192,6 +193,34 @@ def test_subclasses_and_bools_match_the_stdlib(obj):
     # bools subclass int, but the list path joins exact ints only, so each
     # bool takes the writer's True/False checks
     assert json_text(obj) == stdlib_json_text(obj)
+
+
+LAST = max(_INT_TEXT)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [-1],
+        [0],
+        [LAST],
+        [LAST + 1],
+        [0, LAST, LAST + 1, -1, 0],
+        [10**6, 3],
+        [2, 2**70],
+        [-(2**70), -LAST],
+        [True, 0, LAST, LAST + 1, False, -1],
+    ],
+    ids=["minus-one", "zero", "last", "past-last", "both-sides", "million", "2**70", "negative",
+         "bools-among-ints"],
+)
+def test_int_lists_match_the_stdlib_at_the_text_table_edges(obj):
+    # ints from 0 to LAST take their text from a dict, every other int (-1
+    # included, which a list would answer with its last entry) goes through
+    # int.__repr__, and bools are not exact ints, so they bypass both
+    assert -1 not in _INT_TEXT and LAST + 1 not in _INT_TEXT
+    assert json_text(obj) == stdlib_json_text(obj)
+    assert json_text({"counts": obj}) == stdlib_json_text({"counts": obj})
 
 
 @pytest.mark.parametrize(
