@@ -717,7 +717,7 @@ class AtomAnalysis:
                     made.append((y, k, s, i))
             layer = made
 
-        del earlier, edges  # the buckets go before the lists are built
+        del earlier, edges  # the buckets and edge lists go before the word lists are built
         per_element = {}
         for x, reps in enumerate(kept):
             per_element[x] = tuple(reps[k] for k in sorted(reps, key=lambda k: (len(reps[k]), k)))
